@@ -16,7 +16,7 @@ import (
 	"fastrl/internal/gpu"
 	"fastrl/internal/model"
 	"fastrl/internal/profileio"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/tokenizer"
 	"fastrl/internal/workload"
 )
@@ -79,9 +79,9 @@ func main() {
 	}
 
 	dev := gpu.NewDevice(spec, *tp)
-	cfg := rollout.DefaultConfig(dev)
+	cfg := sched.DefaultConfig(dev)
 	cfg.SDThreshold = *threshold
-	eng, err := rollout.New(cfg, target, dr)
+	eng, err := sched.New(cfg, target, dr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tltprofile:", err)
 		os.Exit(1)
@@ -89,12 +89,13 @@ func main() {
 
 	rng := rand.New(rand.NewSource(*seed))
 	sampler := workload.DefaultLengthSampler(*maxNew)
-	var reqs []*rollout.Request
+	var reqs []*sched.Request
 	for i, task := range gen.Sample(*requests) {
 		prior := workload.PriorFor(task, sampler, rng)
-		reqs = append(reqs, rollout.NewRequest(i, task.Prompt, *maxNew, prior, tk.Answer(), tk.Eos()))
+		reqs = append(reqs, sched.NewRequest(i, task.Prompt, *maxNew, prior, tk.Answer(), tk.Eos()))
 	}
-	stats := eng.Run(reqs, rng)
+	stats := eng.Run(reqs, rng, 0)
+	eng.Close()
 
 	if err := profileio.WriteCSV(os.Stdout, stats.Profile); err != nil {
 		fmt.Fprintln(os.Stderr, "tltprofile:", err)

@@ -26,7 +26,7 @@ import (
 	"fastrl/internal/draft"
 	"fastrl/internal/gpu"
 	"fastrl/internal/prefixcache"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/serving"
 	"fastrl/internal/spot"
 	"fastrl/internal/trace"
@@ -85,7 +85,7 @@ func main() {
 
 	const shards = 2
 	caches := cluster.NewShardCaches(shards, prefixcache.Config{})
-	ecfg := rollout.DefaultConfig(gpu.NewDevice(gpu.H100, 2))
+	ecfg := sched.DefaultConfig(gpu.NewDevice(gpu.H100, 2))
 	ecfg.SDThreshold = 0 // SD always on: the deployed drafter earns its keep
 	// Request-lifecycle tracing for the whole deployment: every request's
 	// queue/prefill/SD-round spans land in per-request arenas (zero
@@ -178,7 +178,7 @@ func main() {
 	}
 	// One consistent registry snapshot replaces per-probe stat prints:
 	// per-shard admission counters, outcome counters, cache gauges, and
-	// the latency reservoirs, all read at a single point.
+	// the latency histograms, all read at a single point.
 	fmt.Println("  unified registry snapshot:")
 	for _, line := range strings.Split(strings.TrimRight(cl.Registry().Snapshot().String(), "\n"), "\n") {
 		fmt.Println("    " + line)

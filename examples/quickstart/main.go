@@ -83,6 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer batch.Close() // a batch you drop, you Close: it stops the SD pipeline workers
 	arrivals := sys.Tasks.SampleSeeded(4, 7)
 	next, stepRng := 0, rand.New(rand.NewSource(11))
 	for step := 0; batch.ActiveCount() > 0 || next < len(arrivals); step++ {

@@ -761,8 +761,7 @@ type Stats struct {
 	// P999/TTFTP999 are extreme-tail percentiles over an exact bucket-wise
 	// merge of the per-shard latency histograms (metrics.Histogram.Merge) —
 	// the cluster-level tails the chaos experiment reports across a failure
-	// window, deterministic and independent of merge order (unlike the
-	// sampled reservoir merge they replaced).
+	// window, deterministic and independent of merge order.
 	P999     time.Duration
 	TTFTP999 time.Duration
 	// P999Exemplars/TTFTP999Exemplars are the exemplar request IDs retained

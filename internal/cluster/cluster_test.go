@@ -11,7 +11,7 @@ import (
 	"fastrl/internal/draft"
 	"fastrl/internal/gpu"
 	"fastrl/internal/model"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/serving"
 	"fastrl/internal/tokenizer"
 	"fastrl/internal/workload"
@@ -46,7 +46,7 @@ func clusterSetup(t testing.TB) (*model.LM, *draft.Eagle, *tokenizer.Tokenizer, 
 }
 
 func clusterConfig(tk *tokenizer.Tokenizer, shards, replicas int) Config {
-	ecfg := rollout.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
+	ecfg := sched.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	ecfg.SDThreshold = 0
 	return Config{
 		Shards: shards,

@@ -11,7 +11,7 @@ import (
 	"fastrl/internal/coordinator"
 	"fastrl/internal/gpu"
 	"fastrl/internal/prefixcache"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/serving"
 	"fastrl/internal/specdec"
 	"fastrl/internal/spot"
@@ -23,7 +23,7 @@ import (
 // its private seed — the property that makes a failover replay
 // bit-identical regardless of what else the surviving shard is decoding.
 func failoverConfig(tk *tokenizer.Tokenizer, shards, replicas int) Config {
-	ecfg := rollout.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
+	ecfg := sched.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	ecfg.SDThreshold = 0
 	ecfg.Strategies = []specdec.Params{{DraftDepth: 6, TopK: 6, TokensToVerify: 24}}
 	ecfg.MAB.Thresholds = []int{1}

@@ -19,7 +19,7 @@ import (
 	"fastrl/internal/model"
 	"fastrl/internal/reward"
 	"fastrl/internal/rl"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/spot"
 	"fastrl/internal/tokenizer"
 	"fastrl/internal/vclock"
@@ -164,8 +164,6 @@ type System struct {
 
 	// Clock is the cluster-wide virtual clock.
 	Clock *vclock.Clock
-	// Timelines per worker (utilisation analysis).
-	Timelines []*vclock.Timeline
 
 	rng     *rand.Rand
 	step    int
@@ -206,9 +204,6 @@ func New(cfg Config) (*System, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x715)),
 	}
 	s.Trainer = rl.NewTrainer(cfg.RL, target, s.Verifier)
-	for w := 0; w < cfg.Cluster.Workers(); w++ {
-		s.Timelines = append(s.Timelines, &vclock.Timeline{Worker: w})
-	}
 
 	switch cfg.Kind {
 	case TLT:
@@ -293,7 +288,7 @@ type StepStats struct {
 	// RespLens are the response lengths of the global batch.
 	RespLens []int
 	// Profiles are the per-worker engine iteration profiles.
-	Profiles [][]rollout.StepProfile
+	Profiles [][]sched.StepProfile
 }
 
 // Step advances one full RL step.
@@ -385,7 +380,7 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 		task   workload.Task
 		group  int
 		member int
-		req    *rollout.Request
+		req    *sched.Request
 	}
 	var slots []*slot
 	id := 0
@@ -396,13 +391,13 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 			if s.Cfg.DisableLengthPrior {
 				prior = workload.LengthPrior{}
 			}
-			req := rollout.NewRequest(id, task.Prompt, prior.HardCap(s.Cfg.MaxNew), prior, s.Tk.Answer(), s.Tk.Eos())
+			req := sched.NewRequest(id, task.Prompt, prior.HardCap(s.Cfg.MaxNew), prior, s.Tk.Answer(), s.Tk.Eos())
 			slots = append(slots, &slot{task: task, group: gi, member: m, req: req})
 			id++
 		}
 	}
 
-	perWorker := make([][]*rollout.Request, rolloutWorkers)
+	perWorker := make([][]*sched.Request, rolloutWorkers)
 	for i, sl := range slots {
 		w := i % rolloutWorkers
 		perWorker[w] = append(perWorker[w], sl.req)
@@ -413,12 +408,13 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 	var acceptSum float64
 	var acceptN int
 	for w := 0; w < rolloutWorkers; w++ {
-		eng, err := s.newEngine(w)
+		eng, err := s.newEngine()
 		if err != nil {
 			return nil, err
 		}
 		wrng := rand.New(rand.NewSource(s.Cfg.Seed ^ int64(s.step)<<20 ^ int64(w)))
-		rs := eng.Run(perWorker[w], wrng)
+		rs := eng.Run(perWorker[w], wrng, 0)
+		eng.Close()
 		finishes[w] = rs.Elapsed
 		stats.Profiles = append(stats.Profiles, rs.Profile)
 		if rs.AcceptRounds > 0 {
@@ -509,10 +505,10 @@ func (s *System) runSpotTraining(order []int, finishes []time.Duration, rolloutE
 	return used
 }
 
-// newEngine builds the per-worker rollout engine for the system kind.
-func (s *System) newEngine(worker int) (*rollout.Engine, error) {
+// newEngine builds a worker's rollout engine for the system kind.
+func (s *System) newEngine() (*sched.Batch, error) {
 	dev := s.workerDevice()
-	cfg := rollout.DefaultConfig(dev)
+	cfg := sched.DefaultConfig(dev)
 	cfg.Temp = s.Cfg.RL.Temp
 	if s.Cfg.GraphPlan != "" {
 		cfg.GraphPlan = s.Cfg.GraphPlan
@@ -530,14 +526,7 @@ func (s *System) newEngine(worker int) (*rollout.Engine, error) {
 		// as a fixed padding factor in engine host overhead.
 		cfg.HostOverhead *= 3
 	}
-	eng, err := rollout.New(cfg, s.Target, s.drafter())
-	if err != nil {
-		return nil, err
-	}
-	if worker < len(s.Timelines) {
-		eng.Timeline = s.Timelines[worker]
-	}
-	return eng, nil
+	return sched.New(cfg, s.Target, s.drafter())
 }
 
 // prefillCost models the inference stage: compute-bound prefill of the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +48,33 @@ func TestSystemStepAllKinds(t *testing.T) {
 				t.Fatal("no worker finish times")
 			}
 		})
+	}
+}
+
+// TestStepDoesNotLeakGoroutines pins that every worker's rollout batch is
+// closed when its run ends: at GOMAXPROCS 2 the batches run pipelined SD
+// rounds, whose stage workers would otherwise outlive each step.
+func TestStepDoesNotLeakGoroutines(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	sys, err := New(smallConfig(TLT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.WarmUpDrafter(20, 2)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		if _, err := sys.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A goroutine that has returned is not reaped synchronously; poll.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d over 3 steps", base, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

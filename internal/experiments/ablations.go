@@ -9,7 +9,7 @@ import (
 	"fastrl/internal/draft"
 	"fastrl/internal/gpu"
 	"fastrl/internal/metrics"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/specdec"
 	"fastrl/internal/spot"
 	"fastrl/internal/workload"
@@ -25,28 +25,29 @@ func init() {
 
 // ablRollout runs one rollout batch under a config mutation and reports
 // elapsed virtual time.
-func ablRollout(b *bench, mutate func(*rollout.Config), nReqs, maxNew int, seed int64) (time.Duration, float64) {
+func ablRollout(b *bench, mutate func(*sched.Config), nReqs, maxNew int, seed int64) (time.Duration, float64) {
 	dev := gpu.NewDevice(gpu.H100, 2)
-	cfg := rollout.DefaultConfig(dev)
+	cfg := sched.DefaultConfig(dev)
 	mutate(&cfg)
-	var eng *rollout.Engine
+	var eng *sched.Batch
 	var err error
 	if cfg.SDThreshold >= 0 {
-		eng, err = rollout.New(cfg, b.target, b.eagle)
+		eng, err = sched.New(cfg, b.target, b.eagle)
 	} else {
-		eng, err = rollout.New(cfg, b.target, nil)
+		eng, err = sched.New(cfg, b.target, nil)
 	}
 	if err != nil {
 		panic(err)
 	}
+	defer eng.Close()
 	rng := rand.New(rand.NewSource(seed))
 	sampler := workload.DefaultLengthSampler(maxNew)
-	var reqs []*rollout.Request
+	var reqs []*sched.Request
 	for i, task := range b.gen.SampleSeeded(nReqs, seed) {
 		prior := workload.PriorFor(task, sampler, rng)
-		reqs = append(reqs, rollout.NewRequest(i, task.Prompt, prior.HardCap(maxNew), prior, b.tk.Answer(), b.tk.Eos()))
+		reqs = append(reqs, sched.NewRequest(i, task.Prompt, prior.HardCap(maxNew), prior, b.tk.Answer(), b.tk.Eos()))
 	}
-	stats := eng.Run(reqs, rng)
+	stats := eng.Run(reqs, rng, 0)
 	return stats.Elapsed, stats.MeanAcceptLen()
 }
 
@@ -68,7 +69,7 @@ func runAblElastic(opts Options) (*Result, error) {
 	}
 	times := make([]time.Duration, len(variants))
 	forEach(len(variants), func(i int) {
-		times[i], _ = ablRollout(b, func(c *rollout.Config) { c.SDThreshold = variants[i].threshold }, nReqs, maxNew, 41)
+		times[i], _ = ablRollout(b, func(c *sched.Config) { c.SDThreshold = variants[i].threshold }, nReqs, maxNew, 41)
 	})
 	base := times[0] // "off" is the no-SD baseline
 	for i, v := range variants {

@@ -254,7 +254,7 @@ func replayBatchingArm(b *bench, arrivals []workload.Arrival, maxNew int, arm *b
 	if err != nil {
 		return err
 	}
-	batch.RecordProfile = false
+	defer batch.Close()
 	rng := newRand(0x62617463) // shared fallback; every request has its own
 
 	// TTFT SLO over the replay: burn rate is sampled at fixed virtual
@@ -335,10 +335,8 @@ func replayBatchingArm(b *bench, arrivals []workload.Arrival, maxNew int, arm *b
 			arm.name, time.Duration(arm.phases.SumNs()), time.Duration(arm.phases.TotalNs), arm.phases.Steps)
 	}
 	arm.elapsed = batch.Clock.Now()
-	var busy time.Duration
-	for _, span := range batch.Timeline.Spans {
-		busy += span.Duration()
-	}
+	// The device is busy in every phase but the all-waiting clock jump.
+	busy := time.Duration(arm.phases.SumNs() - arm.phases.Ns[sched.PhaseToolWait])
 	if arm.elapsed > 0 {
 		arm.busyFrac = busy.Seconds() / arm.elapsed.Seconds()
 	}

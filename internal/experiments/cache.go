@@ -12,7 +12,7 @@ import (
 	"fastrl/internal/gpu"
 	"fastrl/internal/metrics"
 	"fastrl/internal/prefixcache"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/serving"
 	"fastrl/internal/workload"
 )
@@ -187,7 +187,7 @@ func runCacheArm(b *bench, name string, mkPolicy func([]*prefixcache.Cache) clus
 	}
 	caches := cluster.NewShardCaches(shards, ccfg)
 	arm.armCaches = caches
-	ecfg := rollout.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
+	ecfg := sched.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	ecfg.SDThreshold = -1 // vanilla decode: the figure isolates prefill reuse
 	clcfg := cluster.Config{
 		Shards: shards,

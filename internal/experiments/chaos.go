@@ -13,7 +13,7 @@ import (
 	"fastrl/internal/gpu"
 	"fastrl/internal/metrics"
 	"fastrl/internal/prefixcache"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/serving"
 	"fastrl/internal/slo"
 	"fastrl/internal/specdec"
@@ -224,7 +224,7 @@ func runChaosArm(b *bench, failover bool, arrivals []workload.Arrival, plan clus
 		arm.name = "with"
 	}
 	drafter := b.eagle.Clone()
-	ecfg := rollout.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
+	ecfg := sched.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	ecfg.SDThreshold = 0
 	// One pinned SD strategy: a request's token stream depends only on its
 	// private seed, which is what makes a failover replay bit-identical.

@@ -10,7 +10,7 @@ import (
 	"fastrl/internal/cluster"
 	"fastrl/internal/gpu"
 	"fastrl/internal/metrics"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/serving"
 	"fastrl/internal/workload"
 )
@@ -144,7 +144,7 @@ type clusterArmConfig struct {
 func runClusterArm(b *bench, policy cluster.Policy, arrivals []workload.Arrival, cfg clusterArmConfig) clusterArm {
 	arm := clusterArm{policy: policy.Name()}
 	drafter := b.eagle.Clone()
-	ecfg := rollout.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
+	ecfg := sched.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	ecfg.SDThreshold = 0
 	cl, err := cluster.New(cluster.Config{
 		Shards: cfg.shards,

@@ -8,7 +8,7 @@ import (
 	"fastrl/internal/core"
 	"fastrl/internal/gpu"
 	"fastrl/internal/metrics"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/workload"
 )
 
@@ -19,30 +19,31 @@ func init() {
 
 // discRun executes one rollout batch with optional tool profile and KV
 // budget, returning elapsed time and accept length.
-func discRun(b *bench, threshold int, tool rollout.ToolProfile, kvBudget float64, nReqs, targetLen, maxNew int, seed int64) (time.Duration, float64, rollout.Stats) {
+func discRun(b *bench, threshold int, tool sched.ToolProfile, kvBudget float64, nReqs, targetLen, maxNew int, seed int64) (time.Duration, float64, sched.Stats) {
 	dev := gpu.NewDevice(gpu.H100, 2)
-	cfg := rollout.DefaultConfig(dev)
+	cfg := sched.DefaultConfig(dev)
 	cfg.SDThreshold = threshold
 	cfg.KVBudgetBytes = kvBudget
-	var eng *rollout.Engine
+	var eng *sched.Batch
 	var err error
 	if threshold >= 0 {
-		eng, err = rollout.New(cfg, b.target, b.eagle)
+		eng, err = sched.New(cfg, b.target, b.eagle)
 	} else {
-		eng, err = rollout.New(cfg, b.target, nil)
+		eng, err = sched.New(cfg, b.target, nil)
 	}
 	if err != nil {
 		panic(err)
 	}
+	defer eng.Close()
 	rng := rand.New(rand.NewSource(seed))
-	var reqs []*rollout.Request
+	var reqs []*sched.Request
 	for i, task := range b.gen.SampleSeeded(nReqs, seed) {
-		r := rollout.NewRequest(i, task.Prompt, maxNew,
+		r := sched.NewRequest(i, task.Prompt, maxNew,
 			workload.LengthPrior{TargetLen: targetLen, Sharpness: 25}, b.tk.Answer(), b.tk.Eos())
 		r.Tool = tool
 		reqs = append(reqs, r)
 	}
-	stats := eng.Run(reqs, rng)
+	stats := eng.Run(reqs, rng, 0)
 	return stats.Elapsed, stats.MeanAcceptLen(), stats
 }
 
@@ -52,7 +53,7 @@ func runDiscMultiturn(opts Options) (*Result, error) {
 	if opts.Quick {
 		nReqs, targetLen = 8, 120
 	}
-	tool := rollout.ToolProfile{Every: 40, Latency: 60 * time.Millisecond, MaxCalls: 4}
+	tool := sched.ToolProfile{Every: 40, Latency: 60 * time.Millisecond, MaxCalls: 4}
 
 	tbl := &metrics.Table{Header: []string{"Configuration", "Rollout time", "Accept len", "Tool calls"}}
 	van, _, vs := discRun(b, -1, tool, 0, nReqs, targetLen, targetLen+40, 71)
@@ -77,8 +78,8 @@ func runDiscUniform(opts Options) (*Result, error) {
 	budget := 3 * perTok * float64(targetLen)
 
 	tbl := &metrics.Table{Header: []string{"Configuration", "Rollout time", "Accept len", "Queued iters"}}
-	van, _, vs := discRun(b, -1, rollout.ToolProfile{}, budget, nReqs, targetLen, targetLen+40, 72)
-	sd, accept, ss := discRun(b, 32, rollout.ToolProfile{}, budget, nReqs, targetLen, targetLen+40, 72)
+	van, _, vs := discRun(b, -1, sched.ToolProfile{}, budget, nReqs, targetLen, targetLen+40, 72)
+	sd, accept, ss := discRun(b, 32, sched.ToolProfile{}, budget, nReqs, targetLen, targetLen+40, 72)
 	tbl.AddRow("uniform-long, KV-bound, vanilla", fmt.Sprintf("%v", van.Round(time.Millisecond)), "-", fmt.Sprintf("%d", vs.QueuedSteps))
 	tbl.AddRow("uniform-long, KV-bound, adaptive SD", fmt.Sprintf("%v", sd.Round(time.Millisecond)), metrics.F(accept, 2), fmt.Sprintf("%d", ss.QueuedSteps))
 	return &Result{

@@ -1,7 +1,8 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§6), shared by cmd/tltbench and the repository's
 // benchmark harness. Each runner regenerates the artefact's rows/series
-// from the simulator; EXPERIMENTS.md records paper-vs-measured values.
+// from the simulator, and its notes set the measured values beside the
+// paper's.
 package experiments
 
 import (

@@ -7,7 +7,7 @@ import (
 	"fastrl/internal/gpu"
 	"fastrl/internal/model"
 	"fastrl/internal/reward"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/specdec"
 	"fastrl/internal/tokenizer"
 	"fastrl/internal/workload"
@@ -60,7 +60,7 @@ func newBench(arch gpu.Arch, seed int64, quick bool) *bench {
 // threshold < 0 disables SD; 0 forces SD. A nil drafter with threshold >= 0
 // uses the bench's Eagle drafter.
 func (b *bench) steadyState(dev *gpu.Device, dr draft.Drafter, batch, iters, threshold int, strategies []specdec.Params, temp float64) (tokensPerSec, acceptLen float64) {
-	cfg := rollout.DefaultConfig(dev)
+	cfg := sched.DefaultConfig(dev)
 	cfg.Temp = temp
 	cfg.SDThreshold = threshold
 	if strategies != nil {
@@ -73,17 +73,18 @@ func (b *bench) steadyState(dev *gpu.Device, dr draft.Drafter, batch, iters, thr
 	if threshold < 0 {
 		dr = nil
 	}
-	eng, err := rollout.New(cfg, b.target, dr)
+	eng, err := sched.New(cfg, b.target, dr)
 	if err != nil {
 		panic(err)
 	}
+	defer eng.Close()
 	rng := rand.New(rand.NewSource(b.seed ^ 0x77))
-	var reqs []*rollout.Request
+	var reqs []*sched.Request
 	for i, task := range b.gen.SampleSeeded(batch, b.seed^0x5151) {
 		prior := workload.LengthPrior{TargetLen: 1 << 20, Sharpness: 25}
-		reqs = append(reqs, rollout.NewRequest(i, task.Prompt, 1<<20, prior, b.tk.Answer(), b.tk.Eos()))
+		reqs = append(reqs, sched.NewRequest(i, task.Prompt, 1<<20, prior, b.tk.Answer(), b.tk.Eos()))
 	}
-	stats := eng.RunIterations(reqs, rng, iters)
+	stats := eng.Run(reqs, rng, iters)
 	return stats.Throughput(), stats.MeanAcceptLen()
 }
 

@@ -115,6 +115,7 @@ func PerfSnapshot(quick bool) []PerfEntry {
 				eng.StepBatch(b.eagle, seqs, p, rngs, out)
 			}
 		}))
+		eng.Close()
 	}
 	// Scheduler iteration at three co-batching widths: inflight requests
 	// advanced one SD round by the iteration-level scheduler (admission
@@ -132,8 +133,6 @@ func PerfSnapshot(quick bool) []PerfEntry {
 		if err != nil {
 			panic(err)
 		}
-		batch.RecordProfile = false
-		batch.Timeline = nil
 		rng := rand.New(rand.NewSource(2))
 		reqs := make([]*sched.Request, nReq)
 		for i := range reqs {
@@ -169,6 +168,7 @@ func PerfSnapshot(quick bool) []PerfEntry {
 				batch.Step(rng)
 			}
 		}))
+		batch.Close()
 	}
 	{
 		// Streamed serving round trip: one request through the streaming

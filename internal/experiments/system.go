@@ -10,7 +10,7 @@ import (
 	"fastrl/internal/mab"
 	"fastrl/internal/metrics"
 	"fastrl/internal/model"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/spot"
 	"fastrl/internal/workload"
 )
@@ -118,25 +118,26 @@ func runFig14(opts Options) (*Result, error) {
 	sampler := workload.DefaultLengthSampler(maxNew)
 
 	run := func(threshold int, name string) (metrics.Series, time.Duration) {
-		cfg := rollout.DefaultConfig(dev)
+		cfg := sched.DefaultConfig(dev)
 		cfg.SDThreshold = threshold
-		var eng *rollout.Engine
+		var eng *sched.Batch
 		var err error
 		if threshold >= 0 {
-			eng, err = rollout.New(cfg, b.target, b.eagle)
+			eng, err = sched.New(cfg, b.target, b.eagle)
 		} else {
-			eng, err = rollout.New(cfg, b.target, nil)
+			eng, err = sched.New(cfg, b.target, nil)
 		}
 		if err != nil {
 			panic(err)
 		}
+		defer eng.Close()
 		rng := rand.New(rand.NewSource(seedOr(opts, 14) ^ 0x140))
-		var reqs []*rollout.Request
+		var reqs []*sched.Request
 		for i, task := range b.gen.SampleSeeded(nReqs, seedOr(opts, 14)^0x141) {
 			prior := workload.PriorFor(task, sampler, rng)
-			reqs = append(reqs, rollout.NewRequest(i, task.Prompt, prior.HardCap(maxNew), prior, b.tk.Answer(), b.tk.Eos()))
+			reqs = append(reqs, sched.NewRequest(i, task.Prompt, prior.HardCap(maxNew), prior, b.tk.Answer(), b.tk.Eos()))
 		}
-		stats := eng.Run(reqs, rng)
+		stats := eng.Run(reqs, rng, 0)
 		var s metrics.Series
 		s.Name = name
 		stride := len(stats.Profile) / 60

@@ -9,9 +9,8 @@ import (
 // Histogram is a fixed-shape log-linear histogram over non-negative int64
 // values (nanoseconds, by convention). Every histogram in the process has
 // the identical bucket layout — histSubCount linear sub-buckets per power
-// of two — so Merge is exact bucket-wise addition: unlike sampling-based
-// reservoir merging, merged percentiles are deterministic and independent
-// of merge order. Relative quantile error is bounded by the sub-bucket
+// of two — so Merge is exact bucket-wise addition: merged percentiles are
+// deterministic and independent of merge order. Relative quantile error is bounded by the sub-bucket
 // width, 1/histSubCount = 12.5%.
 //
 // Each bucket additionally retains up to HistExemplars exemplar request
@@ -22,8 +21,7 @@ import (
 // therefore Merge) invariant under record/merge permutation.
 //
 // Record is zero-alloc: all state lives in fixed arrays inside the
-// struct. Not goroutine-safe; callers guard it with their own lock
-// (same discipline as Reservoir).
+// struct. Not goroutine-safe; callers guard it with their own lock.
 type Histogram struct {
 	counts [histBuckets]int64
 	ex     [histBuckets][HistExemplars]int64
@@ -46,7 +44,7 @@ const (
 )
 
 // NewHistogram returns an empty histogram. The zero value is also ready
-// to use; the constructor exists for symmetry with NewReservoir.
+// to use.
 func NewHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a non-negative value to its bucket. Monotone and
@@ -331,7 +329,7 @@ type HistogramStats struct {
 }
 
 // Stats computes the snapshot summary (nil-safe: a nil histogram reports
-// zeros, mirroring how the registry treats nil reservoirs).
+// zeros, which is how the registry reports a nil provider).
 func (h *Histogram) Stats() HistogramStats {
 	if h == nil || h.n == 0 {
 		return HistogramStats{}

@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -158,117 +157,6 @@ func (w *Window) Median() float64 { return Median(w.data) }
 
 // Mean returns the mean of the stored observations (0 when empty).
 func (w *Window) Mean() float64 { return Mean(w.data) }
-
-// Reservoir is a fixed-capacity uniform sample over an unbounded stream
-// (Vitter's algorithm R): the first capacity values fill it, after which
-// each new value replaces a uniformly random slot with probability
-// capacity/seen, keeping the sample uniform over the full history.
-// Long-running latency accumulators (serving, cluster) use it to stay
-// bounded. Not goroutine-safe; callers guard it with their own lock.
-type Reservoir struct {
-	data     []float64
-	capacity int
-	seen     int
-	rng      *rand.Rand
-}
-
-// NewReservoir creates a reservoir with the given capacity (minimum 1)
-// and replacement-stream seed.
-func NewReservoir(capacity int, seed int64) *Reservoir {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Reservoir{
-		data:     make([]float64, 0, capacity),
-		capacity: capacity,
-		rng:      rand.New(rand.NewSource(seed)),
-	}
-}
-
-// Add offers one value to the reservoir.
-func (r *Reservoir) Add(v float64) {
-	r.seen++
-	if len(r.data) < r.capacity {
-		r.data = append(r.data, v)
-		return
-	}
-	if j := r.rng.Intn(r.seen); j < r.capacity {
-		r.data[j] = v
-	}
-}
-
-// Seen returns how many values were ever offered.
-func (r *Reservoir) Seen() int { return r.seen }
-
-// Len returns the stored sample count (≤ capacity).
-func (r *Reservoir) Len() int { return len(r.data) }
-
-// Percentile returns the p-th percentile of the stored sample. Fractional
-// percentiles (e.g. 99.9) interpolate between closest ranks like the
-// package-level Percentile; tails beyond the sample resolution saturate at
-// the maximum stored value.
-func (r *Reservoir) Percentile(p float64) float64 { return Percentile(r.data, p) }
-
-// Values returns a copy of the stored sample.
-func (r *Reservoir) Values() []float64 { return append([]float64(nil), r.data...) }
-
-// Clone returns an independent copy of the reservoir: same sample, same
-// seen count, and a replacement stream forked from the current RNG state.
-// Stats readers use it to hand out snapshots without racing the writer's
-// lock discipline.
-func (r *Reservoir) Clone() *Reservoir {
-	out := &Reservoir{
-		data:     append(make([]float64, 0, r.capacity), r.data...),
-		capacity: r.capacity,
-		seen:     r.seen,
-		rng:      rand.New(rand.NewSource(int64(r.seen)*0x9e3779b9 + 1)),
-	}
-	return out
-}
-
-// MergeReservoirs combines per-shard reservoirs into one cluster-level
-// reservoir of the given capacity, weighting each source by how many values
-// it has *seen* (not how many it stores): a shard that observed 10x the
-// traffic contributes 10x the mass to the merged tail, which is what makes
-// cluster p99.9 over per-shard samples honest. Sampling is with
-// replacement, seeded, so a fixed seed yields a deterministic merge. Nil
-// and empty sources are skipped; with no usable sources the result is an
-// empty reservoir. The merged Seen reports the total values the sources
-// observed.
-func MergeReservoirs(capacity int, seed int64, srcs ...*Reservoir) *Reservoir {
-	out := NewReservoir(capacity, seed)
-	type src struct {
-		data []float64
-		seen int
-	}
-	var use []src
-	total := 0
-	for _, r := range srcs {
-		if r == nil || len(r.data) == 0 || r.seen <= 0 {
-			continue
-		}
-		use = append(use, src{data: r.data, seen: r.seen})
-		total += r.seen
-	}
-	if total == 0 {
-		return out
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < out.capacity; i++ {
-		// Pick a source proportional to its observed mass, then a uniform
-		// element of its stored sample.
-		pick := rng.Intn(total)
-		for _, s := range use {
-			if pick < s.seen {
-				out.data = append(out.data, s.data[rng.Intn(len(s.data))])
-				break
-			}
-			pick -= s.seen
-		}
-	}
-	out.seen = total
-	return out
-}
 
 // LinearHistogram is a fixed-bin histogram over [min, max) used for
 // figure-style distributions (accepted-length PDFs). Latency percentiles

@@ -175,43 +175,6 @@ func TestWindowSlidingProperty(t *testing.T) {
 	}
 }
 
-func TestReservoir(t *testing.T) {
-	r := NewReservoir(8, 1)
-	for i := 1; i <= 5; i++ {
-		r.Add(float64(i))
-	}
-	if r.Len() != 5 || r.Seen() != 5 {
-		t.Fatalf("partial fill: len=%d seen=%d", r.Len(), r.Seen())
-	}
-	if got := r.Percentile(50); got != 3 {
-		t.Fatalf("median of {1..5} = %v", got)
-	}
-	for i := 6; i <= 1000; i++ {
-		r.Add(float64(i))
-	}
-	if r.Len() != 8 || r.Seen() != 1000 {
-		t.Fatalf("after overflow: len=%d seen=%d", r.Len(), r.Seen())
-	}
-	// The sample stays within the observed range.
-	if lo, hi := r.Percentile(0), r.Percentile(100); lo < 1 || hi > 1000 {
-		t.Fatalf("sample escaped range: [%v, %v]", lo, hi)
-	}
-	// Same seed and stream ⇒ same sample.
-	a, b := NewReservoir(4, 7), NewReservoir(4, 7)
-	for i := 0; i < 200; i++ {
-		a.Add(float64(i))
-		b.Add(float64(i))
-	}
-	for p := 0.0; p <= 100; p += 25 {
-		if a.Percentile(p) != b.Percentile(p) {
-			t.Fatalf("reservoirs diverged at p%v", p)
-		}
-	}
-	if NewReservoir(0, 1).capacity != 1 {
-		t.Fatal("capacity clamp failed")
-	}
-}
-
 func TestLinearHistogram(t *testing.T) {
 	h := NewLinearHistogram(0, 10, 10)
 	for i := 0; i < 10; i++ {
@@ -289,143 +252,5 @@ func TestPercentileP999(t *testing.T) {
 	// Small samples saturate at the max rather than extrapolating.
 	if got := Percentile([]float64{1, 2, 3}, 99.9); got < 2.99 || got > 3 {
 		t.Fatalf("p99.9 of 3 samples = %v, want ~3", got)
-	}
-	r := NewReservoir(4096, 1)
-	for _, x := range xs {
-		r.Add(x)
-	}
-	if got := r.Percentile(99.9); got < 9000 {
-		t.Fatalf("reservoir p99.9 = %v, want deep in the tail", got)
-	}
-}
-
-func TestReservoirValuesAndClone(t *testing.T) {
-	r := NewReservoir(8, 3)
-	for i := 0; i < 100; i++ {
-		r.Add(float64(i))
-	}
-	vals := r.Values()
-	if len(vals) != 8 {
-		t.Fatalf("Values len %d, want 8", len(vals))
-	}
-	vals[0] = -1 // must not alias the reservoir's storage
-	c := r.Clone()
-	if c.Seen() != r.Seen() || c.Len() != r.Len() {
-		t.Fatalf("clone shape: seen %d/%d len %d/%d", c.Seen(), r.Seen(), c.Len(), r.Len())
-	}
-	for i, v := range c.Values() {
-		if v == -1 {
-			t.Fatal("Values aliased reservoir storage")
-		}
-		if v != r.Values()[i] {
-			t.Fatalf("clone sample %d differs", i)
-		}
-	}
-	// Mutating the clone must not touch the original.
-	before := r.Values()
-	for i := 0; i < 1000; i++ {
-		c.Add(float64(1000 + i))
-	}
-	for i, v := range r.Values() {
-		if v != before[i] {
-			t.Fatalf("clone Add mutated original at %d", i)
-		}
-	}
-}
-
-func TestMergeReservoirs(t *testing.T) {
-	mk := func(vals []float64, extraSeen int) *Reservoir {
-		r := NewReservoir(len(vals), 1)
-		for _, v := range vals {
-			r.Add(v)
-		}
-		r.seen += extraSeen
-		return r
-	}
-	cases := []struct {
-		name string
-		srcs []*Reservoir
-		cap  int
-		// wantLo/wantHi bound the merged mean; wantSeen the total.
-		wantLo, wantHi float64
-		wantSeen       int
-		wantLen        int
-	}{
-		{
-			name:   "balanced",
-			srcs:   []*Reservoir{mk([]float64{1, 1, 1, 1}, 0), mk([]float64{3, 3, 3, 3}, 0)},
-			cap:    2048,
-			wantLo: 1.9, wantHi: 2.1,
-			wantSeen: 8, wantLen: 2048,
-		},
-		{
-			name: "weighted-by-seen",
-			srcs: []*Reservoir{mk([]float64{0, 0, 0, 0}, 96), mk([]float64{10, 10, 10, 10}, 0)},
-			cap:  4096,
-			// First shard saw 100 values, second 4: ~4% mass at 10.
-			wantLo: 0.1, wantHi: 0.8,
-			wantSeen: 104, wantLen: 4096,
-		},
-		{
-			name:   "nil-and-empty-skipped",
-			srcs:   []*Reservoir{nil, NewReservoir(4, 9), mk([]float64{5, 5}, 0)},
-			cap:    64,
-			wantLo: 5, wantHi: 5,
-			wantSeen: 2, wantLen: 64,
-		},
-		{
-			name:   "all-unusable",
-			srcs:   []*Reservoir{nil, NewReservoir(4, 9)},
-			cap:    64,
-			wantLo: 0, wantHi: 0,
-			wantSeen: 0, wantLen: 0,
-		},
-		{
-			name:   "no-sources",
-			srcs:   nil,
-			cap:    16,
-			wantLo: 0, wantHi: 0,
-			wantSeen: 0, wantLen: 0,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := MergeReservoirs(tc.cap, 42, tc.srcs...)
-			if m == nil {
-				t.Fatal("nil merge result")
-			}
-			if m.Seen() != tc.wantSeen {
-				t.Fatalf("Seen = %d, want %d", m.Seen(), tc.wantSeen)
-			}
-			if m.Len() != tc.wantLen {
-				t.Fatalf("Len = %d, want %d", m.Len(), tc.wantLen)
-			}
-			if mean := Mean(m.Values()); mean < tc.wantLo || mean > tc.wantHi {
-				t.Fatalf("merged mean = %v, want in [%v, %v]", mean, tc.wantLo, tc.wantHi)
-			}
-			// Determinism: same seed, same merge.
-			again := MergeReservoirs(tc.cap, 42, tc.srcs...)
-			av, bv := m.Values(), again.Values()
-			for i := range av {
-				if av[i] != bv[i] {
-					t.Fatalf("merge nondeterministic at %d", i)
-				}
-			}
-		})
-	}
-	// NaN samples in a source survive the merge but never poison Percentile.
-	nanSrc := mk([]float64{math.NaN(), 2, 2, 2}, 0)
-	m := MergeReservoirs(256, 7, nanSrc)
-	if p := m.Percentile(99.9); math.IsNaN(p) {
-		t.Fatal("NaN leaked into merged percentile")
-	}
-	// Merged tails reach the source extremes: p99.9 over a heavy shard.
-	big := NewReservoir(1024, 5)
-	for i := 0; i < 5000; i++ {
-		big.Add(float64(i))
-	}
-	m = MergeReservoirs(4096, 11, big, mk([]float64{1, 1}, 0))
-	if p := m.Percentile(99.9); p < 4000 {
-		t.Fatalf("merged p99.9 = %v, want deep tail", p)
 	}
 }

@@ -79,26 +79,11 @@ func TestSnapshotNeverTearsUpdateGroups(t *testing.T) {
 	}
 }
 
-func TestGaugesAndReservoirs(t *testing.T) {
+func TestGaugeSnapshot(t *testing.T) {
 	g := NewRegistry()
 	g.Gauge("queue_len", func() float64 { return 7 })
-	res := NewReservoir(64, 1)
-	for i := 1; i <= 10; i++ {
-		res.Add(float64(i))
-	}
-	g.ReservoirFunc("latency", func() *Reservoir { return res.Clone() })
-	g.ReservoirFunc("empty", func() *Reservoir { return nil })
-
-	s := g.Snapshot()
-	if s.Gauge("queue_len") != 7 {
+	if s := g.Snapshot(); s.Gauge("queue_len") != 7 {
 		t.Fatalf("gauge = %v, want 7", s.Gauge("queue_len"))
-	}
-	r := s.Reservoirs["latency"]
-	if r.Seen != 10 || r.Len != 10 || r.Mean != 5.5 {
-		t.Fatalf("reservoir stats %+v", r)
-	}
-	if _, ok := s.Reservoirs["empty"]; !ok {
-		t.Fatalf("nil reservoir provider should still appear (zeroed)")
 	}
 }
 

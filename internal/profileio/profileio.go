@@ -1,20 +1,18 @@
-// Package profileio exports and renders rollout profiles and worker
-// timelines: CSV for plotting, ASCII charts for terminals. It backs
-// cmd/tltprofile and the utilisation analyses in the experiments.
+// Package profileio exports and renders rollout running-request profiles
+// (sched.StepProfile records): CSV for plotting, ASCII charts for
+// terminals. It backs cmd/tltprofile.
 package profileio
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
-	"fastrl/internal/rollout"
-	"fastrl/internal/vclock"
+	"fastrl/internal/sched"
 )
 
 // WriteCSV emits one row per engine iteration.
-func WriteCSV(w io.Writer, profile []rollout.StepProfile) error {
+func WriteCSV(w io.Writer, profile []sched.StepProfile) error {
 	if _, err := fmt.Fprintln(w, "t_seconds,running,mode,depth,topk,verify,tokens_out"); err != nil {
 		return err
 	}
@@ -30,7 +28,7 @@ func WriteCSV(w io.Writer, profile []rollout.StepProfile) error {
 
 // RenderRunning draws an ASCII chart of the running-request count over
 // time (the Fig. 14 profile): one column per time bucket, height rows.
-func RenderRunning(profile []rollout.StepProfile, width, height int) string {
+func RenderRunning(profile []sched.StepProfile, width, height int) string {
 	if len(profile) == 0 || width < 2 || height < 2 {
 		return ""
 	}
@@ -55,7 +53,7 @@ func RenderRunning(profile []rollout.StepProfile, width, height int) string {
 		if p.Running > buckets[b] {
 			buckets[b] = p.Running
 		}
-		if p.Mode == rollout.ModeSD {
+		if p.Mode == sched.ModeSD {
 			sd[b] = true
 		}
 	}
@@ -85,60 +83,5 @@ func RenderRunning(profile []rollout.StepProfile, width, height int) string {
 	sb.WriteString("     +" + strings.Repeat("-", width) + "\n")
 	fmt.Fprintf(&sb, "      0%*s\n", width, fmt.Sprintf("%.2fs", end.Seconds()))
 	sb.WriteString("      running requests over time ('#' = speculative decoding active)\n")
-	return sb.String()
-}
-
-// UtilizationReport summarises per-worker busy fractions over [0, end).
-type UtilizationReport struct {
-	Worker   int
-	Busy     float64
-	SpotUsed float64
-}
-
-// Utilization computes per-worker utilisation from timelines: Busy counts
-// rollout work (prefill/decode/sd spans), SpotUsed counts drafter
-// training.
-func Utilization(timelines []*vclock.Timeline, end time.Duration) []UtilizationReport {
-	out := make([]UtilizationReport, 0, len(timelines))
-	for i, tl := range timelines {
-		out = append(out, UtilizationReport{
-			Worker:   i,
-			Busy:     tl.Utilization(0, end, "prefill", "decode", "sd", "sd-switch"),
-			SpotUsed: tl.Utilization(0, end, "spot-train"),
-		})
-	}
-	return out
-}
-
-// RenderGantt draws one row per worker, marking rollout work '#', spot
-// training 'S', and idle '.' over [0, end).
-func RenderGantt(timelines []*vclock.Timeline, end time.Duration, width int) string {
-	if end <= 0 || width < 2 {
-		return ""
-	}
-	var sb strings.Builder
-	for i, tl := range timelines {
-		fmt.Fprintf(&sb, "w%-3d |", i)
-		step := end / time.Duration(width)
-		if step <= 0 {
-			step = 1
-		}
-		for b := 0; b < width; b++ {
-			from := time.Duration(b) * step
-			to := from + step
-			switch {
-			case tl.BusyWithin(from, to, "spot-train") > 0:
-				sb.WriteByte('S')
-			case tl.BusyWithin(from, to, "prefill", "decode", "sd", "sd-switch") > step/2:
-				sb.WriteByte('#')
-			case tl.BusyWithin(from, to) > 0:
-				sb.WriteByte('+')
-			default:
-				sb.WriteByte('.')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	sb.WriteString("      '#' rollout  'S' spot training  '.' idle\n")
 	return sb.String()
 }

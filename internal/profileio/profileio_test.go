@@ -5,18 +5,17 @@ import (
 	"testing"
 	"time"
 
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/specdec"
-	"fastrl/internal/vclock"
 )
 
-func sampleProfile() []rollout.StepProfile {
-	return []rollout.StepProfile{
-		{End: 10 * time.Millisecond, Running: 8, Mode: rollout.ModeVanilla, TokensOut: 8},
-		{End: 20 * time.Millisecond, Running: 6, Mode: rollout.ModeVanilla, TokensOut: 6},
-		{End: 30 * time.Millisecond, Running: 3, Mode: rollout.ModeSD,
+func sampleProfile() []sched.StepProfile {
+	return []sched.StepProfile{
+		{End: 10 * time.Millisecond, Running: 8, Mode: sched.ModeVanilla, TokensOut: 8},
+		{End: 20 * time.Millisecond, Running: 6, Mode: sched.ModeVanilla, TokensOut: 6},
+		{End: 30 * time.Millisecond, Running: 3, Mode: sched.ModeSD,
 			Strategy: specdec.Params{DraftDepth: 4, TopK: 3, TokensToVerify: 8}, TokensOut: 9},
-		{End: 40 * time.Millisecond, Running: 1, Mode: rollout.ModeSD,
+		{End: 40 * time.Millisecond, Running: 1, Mode: sched.ModeSD,
 			Strategy: specdec.Params{DraftDepth: 6, TopK: 6, TokensToVerify: 24}, TokensOut: 4},
 	}
 }
@@ -55,42 +54,5 @@ func TestRenderRunning(t *testing.T) {
 	}
 	if RenderRunning(sampleProfile(), 1, 1) != "" {
 		t.Fatal("tiny canvas should render empty")
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	tl := &vclock.Timeline{Worker: 0}
-	tl.Record("decode", 0, 50*time.Millisecond)
-	tl.Record("spot-train", 50*time.Millisecond, 80*time.Millisecond)
-	rep := Utilization([]*vclock.Timeline{tl}, 100*time.Millisecond)
-	if len(rep) != 1 {
-		t.Fatalf("reports %d", len(rep))
-	}
-	if rep[0].Busy < 0.49 || rep[0].Busy > 0.51 {
-		t.Fatalf("busy %v, want ~0.5", rep[0].Busy)
-	}
-	if rep[0].SpotUsed < 0.29 || rep[0].SpotUsed > 0.31 {
-		t.Fatalf("spot %v, want ~0.3", rep[0].SpotUsed)
-	}
-}
-
-func TestRenderGantt(t *testing.T) {
-	a := &vclock.Timeline{Worker: 0}
-	a.Record("decode", 0, 90*time.Millisecond)
-	b := &vclock.Timeline{Worker: 1}
-	b.Record("decode", 0, 40*time.Millisecond)
-	b.Record("spot-train", 45*time.Millisecond, 85*time.Millisecond)
-	out := RenderGantt([]*vclock.Timeline{a, b}, 100*time.Millisecond, 20)
-	if !strings.Contains(out, "w0") || !strings.Contains(out, "w1") {
-		t.Fatalf("missing worker rows:\n%s", out)
-	}
-	if !strings.Contains(out, "S") {
-		t.Fatalf("spot training not marked:\n%s", out)
-	}
-	if !strings.Contains(out, "#") {
-		t.Fatalf("rollout not marked:\n%s", out)
-	}
-	if RenderGantt(nil, 0, 20) != "" {
-		t.Fatal("degenerate gantt should be empty")
 	}
 }

@@ -30,10 +30,6 @@ func steadyBatch(t testing.TB, env *testEnv, n int, sd bool) (*Batch, []*Request
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A long-running step-loop records neither per-step profiles nor
-	// timeline spans (both unbounded) — the configuration serving uses.
-	b.RecordProfile = false
-	b.Timeline = nil
 	rng := rand.New(rand.NewSource(61))
 	reqs := make([]*Request, n)
 	for i := 0; i < n; i++ {

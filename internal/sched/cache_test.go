@@ -1,4 +1,4 @@
-package rollout
+package sched
 
 import (
 	"math/rand"
@@ -10,14 +10,15 @@ import (
 	"fastrl/internal/workload"
 )
 
-// cacheEngine builds an engine sharing the given prefix cache, vanilla
-// decoding only (cache behaviour is mode-independent; vanilla keeps the
-// test focused).
-func cacheEngine(t *testing.T, env *testEnv, cache *prefixcache.Cache) *Engine {
+// cacheBatch builds a batch sharing the given prefix cache (and phase
+// profile, which may be nil), vanilla decoding only (cache behaviour is
+// mode-independent; vanilla keeps the test focused).
+func cacheBatch(t *testing.T, env *testEnv, cache *prefixcache.Cache, phases *PhaseProfile) *Batch {
 	t.Helper()
 	cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	cfg.SDThreshold = -1
 	cfg.Cache = cache
+	cfg.Phases = phases
 	eng, err := New(cfg, env.target, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -46,17 +47,17 @@ func TestCachePrefillSavings(t *testing.T) {
 	env := newEnv(t)
 	cache := prefixcache.New(prefixcache.Config{})
 
-	cold := cacheEngine(t, env, cache)
+	cold := cacheBatch(t, env, cache, nil)
 	reqs1 := poolRequests(env, 6, 24)
-	st1 := cold.Run(reqs1, rand.New(rand.NewSource(11)))
+	st1 := cold.Run(reqs1, rand.New(rand.NewSource(11)), 0)
 	if st1.PrefillSavedTokens != 0 || st1.PrefillCacheHits != 0 {
 		t.Fatalf("cold run saved %d tokens (%d hits), want 0",
 			st1.PrefillSavedTokens, st1.PrefillCacheHits)
 	}
 
-	warm := cacheEngine(t, env, cache)
+	warm := cacheBatch(t, env, cache, nil)
 	reqs2 := poolRequests(env, 6, 24)
-	st2 := warm.Run(reqs2, rand.New(rand.NewSource(11)))
+	st2 := warm.Run(reqs2, rand.New(rand.NewSource(11)), 0)
 	if st2.PrefillCacheHits != len(reqs2) {
 		t.Fatalf("warm run hit on %d/%d requests", st2.PrefillCacheHits, len(reqs2))
 	}
@@ -86,11 +87,11 @@ func TestCacheDoesNotChangeTokens(t *testing.T) {
 	env := newEnv(t)
 
 	gen := func(cache *prefixcache.Cache) [][]int {
-		eng := cacheEngine(t, env, cache)
+		eng := cacheBatch(t, env, cache, nil)
 		var out [][]int
 		for round := 0; round < 2; round++ {
 			reqs := poolRequests(env, 4, 20)
-			eng.Run(reqs, rand.New(rand.NewSource(int64(round))))
+			eng.Run(reqs, rand.New(rand.NewSource(int64(round))), 0)
 			for _, r := range reqs {
 				out = append(out, append([]int(nil), r.Tokens...))
 			}
@@ -121,20 +122,19 @@ func TestCachePrefillCheaper(t *testing.T) {
 	env := newEnv(t)
 	cache := prefixcache.New(prefixcache.Config{})
 
-	prefillTime := func(eng *Engine) time.Duration {
-		reqs := poolRequests(env, 8, 16)
-		eng.Run(reqs, rand.New(rand.NewSource(1)))
-		for _, span := range eng.Timeline.Spans {
-			if span.Label == "prefill" {
-				return span.Duration()
-			}
+	prefillTime := func() time.Duration {
+		phases := NewPhaseProfile()
+		eng := cacheBatch(t, env, cache, phases)
+		eng.Run(poolRequests(env, 8, 16), rand.New(rand.NewSource(1)), 0)
+		ph := phases.Snapshot()
+		if ph.Events[PhasePrefill] != 1 {
+			t.Fatalf("%d prefill passes, want 1", ph.Events[PhasePrefill])
 		}
-		t.Fatal("no prefill span recorded")
-		return 0
+		return time.Duration(ph.Ns[PhasePrefill])
 	}
 
-	coldDur := prefillTime(cacheEngine(t, env, cache))
-	warmDur := prefillTime(cacheEngine(t, env, cache))
+	coldDur := prefillTime()
+	warmDur := prefillTime()
 	if warmDur >= coldDur {
 		t.Fatalf("warm prefill %v not cheaper than cold %v", warmDur, coldDur)
 	}
@@ -145,9 +145,9 @@ func TestCachePrefillCheaper(t *testing.T) {
 func TestCacheHiddenAtPromptBoundary(t *testing.T) {
 	env := newEnv(t)
 	cache := prefixcache.New(prefixcache.Config{})
-	eng := cacheEngine(t, env, cache)
+	eng := cacheBatch(t, env, cache, nil)
 	reqs := poolRequests(env, 3, 12)
-	eng.Run(reqs, rand.New(rand.NewSource(3)))
+	eng.Run(reqs, rand.New(rand.NewSource(3)), 0)
 
 	for _, r := range reqs {
 		n, m := cache.Lookup(r.Prompt)

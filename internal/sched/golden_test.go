@@ -1,4 +1,4 @@
-package rollout
+package sched
 
 import (
 	"encoding/json"
@@ -70,17 +70,17 @@ func goldenScenarios(t *testing.T, env *testEnv) []goldenRun {
 		if sc.mutate != nil {
 			sc.mutate(reqs, &cfg)
 		}
-		var eng *Engine
+		var eng *Batch
 		var err error
 		if sc.useEagle {
-			eng, err = New(cfg, env.target, env.drafter.Clone())
+			eng, err = New(cfg, env.target, env.eagle.Clone())
 		} else {
 			eng, err = New(cfg, env.target, nil)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
-		stats := eng.Run(reqs, rand.New(rand.NewSource(sc.runSeed)))
+		stats := eng.Run(reqs, rand.New(rand.NewSource(sc.runSeed)), 0)
 		g := goldenRun{
 			Name:           sc.name,
 			ResponseTokens: stats.ResponseTokens,
@@ -100,7 +100,7 @@ func goldenScenarios(t *testing.T, env *testEnv) []goldenRun {
 // pre-refactor rollout engine: token streams (and the virtual-time and
 // mode accounting) recorded before the iteration-level scheduler refactor
 // must be reproduced exactly by the rebased engine under the same seeds.
-// Regenerate with `go test ./internal/rollout -run TestLifecycleGolden
+// Regenerate with `go test ./internal/sched -run TestLifecycleGolden
 // -update` only when a change is *meant* to alter sampling behaviour.
 func TestLifecycleGolden(t *testing.T) {
 	env := newEnv(t)

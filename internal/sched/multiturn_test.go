@@ -1,4 +1,4 @@
-package rollout
+package sched
 
 import (
 	"math/rand"
@@ -34,7 +34,7 @@ func TestToolCallsPauseDecoding(t *testing.T) {
 		r.Prior = workload.LengthPrior{TargetLen: 70, Sharpness: 20}
 		r.Tool = ToolProfile{Every: 20, Latency: 30 * time.Millisecond, MaxCalls: 2}
 	}
-	stats := eng.Run(reqs, rand.New(rand.NewSource(51)))
+	stats := eng.Run(reqs, rand.New(rand.NewSource(51)), 0)
 	if stats.ToolCalls == 0 {
 		t.Fatal("no tool calls recorded")
 	}
@@ -65,7 +65,7 @@ func TestToolCallsExtendElapsedTime(t *testing.T) {
 		if withTools {
 			reqs[0].Tool = ToolProfile{Every: 10, Latency: 50 * time.Millisecond}
 		}
-		return eng.Run(reqs, rand.New(rand.NewSource(53)))
+		return eng.Run(reqs, rand.New(rand.NewSource(53)), 0)
 	}
 	with := run(true)
 	without := run(false)
@@ -95,7 +95,7 @@ func TestToolWaitsShrinkDecodingBatch(t *testing.T) {
 		r.Prior = workload.LengthPrior{TargetLen: 70, Sharpness: 20}
 		r.Tool = ToolProfile{Every: 15 + i, Latency: 40 * time.Millisecond}
 	}
-	stats := eng.Run(reqs, rand.New(rand.NewSource(55)))
+	stats := eng.Run(reqs, rand.New(rand.NewSource(55)), 0)
 	sawSmall := false
 	for _, p := range stats.Profile {
 		if p.Running < len(reqs) && p.Running > 0 {
@@ -122,7 +122,7 @@ func TestKVBudgetQueuesRequests(t *testing.T) {
 	for _, r := range reqs {
 		r.Prior = workload.LengthPrior{TargetLen: 95, Sharpness: 20}
 	}
-	stats := eng.Run(reqs, rand.New(rand.NewSource(57)))
+	stats := eng.Run(reqs, rand.New(rand.NewSource(57)), 0)
 	if stats.QueuedSteps == 0 {
 		t.Fatal("KV budget never queued requests")
 	}
@@ -156,7 +156,7 @@ func TestKVBudgetGuaranteesProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := env.requests(t, 3, 40, 58)
-	stats := eng.Run(reqs, rand.New(rand.NewSource(59)))
+	stats := eng.Run(reqs, rand.New(rand.NewSource(59)), 0)
 	if stats.ResponseTokens == 0 {
 		t.Fatal("no progress under tiny KV budget")
 	}
@@ -176,10 +176,10 @@ func TestKVBudgetCreatesSDSweetSpot(t *testing.T) {
 		cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 		cfg.SDThreshold = threshold
 		cfg.KVBudgetBytes = 3 * perTok * 300
-		var eng *Engine
+		var eng *Batch
 		var err error
 		if threshold >= 0 {
-			eng, err = New(cfg, env.target, env.drafter)
+			eng, err = New(cfg, env.target, env.eagle)
 		} else {
 			eng, err = New(cfg, env.target, nil)
 		}
@@ -191,7 +191,7 @@ func TestKVBudgetCreatesSDSweetSpot(t *testing.T) {
 			// Uniformly long: no tail, every response ~280 tokens.
 			r.Prior = workload.LengthPrior{TargetLen: 280, Sharpness: 25}
 		}
-		return eng.Run(reqs, rand.New(rand.NewSource(61)))
+		return eng.Run(reqs, rand.New(rand.NewSource(61)), 0)
 	}
 	sd := run(32)
 	van := run(-1)

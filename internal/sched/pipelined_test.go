@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"fastrl/internal/gpu"
 	"fastrl/internal/prefixcache"
@@ -94,5 +95,53 @@ func TestContinuousPipelinedMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCloseStopsPipelineWorkers pins the Close contract: pipelined SD
+// rounds start the speculation engine's two stage workers, and Close
+// stops them, so a dropped batch leaves no goroutine (and through it no
+// batch) behind. Close is idempotent, and a closed batch that steps again
+// restarts its workers for the next Close to stop.
+func TestCloseStopsPipelineWorkers(t *testing.T) {
+	env := newEnv(t)
+	old := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	base := runtime.NumGoroutine()
+
+	b, err := New(fixedStrategyConfig(gpu.NewDevice(gpu.H100, 1)), env.target, env.eagle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		b.Admit(env.poolRequest(i, i, 1<<20, int64(600+i)))
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3; i++ {
+		b.Step(rng)
+	}
+	if got := runtime.NumGoroutine() - base; got < 2 {
+		t.Fatalf("pipelined rounds started %d goroutines, want the 2 stage workers", got)
+	}
+	b.Close()
+	waitGoroutines(t, base)
+	b.Close()
+	waitGoroutines(t, base)
+
+	b.Step(rng)
+	b.Close()
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines polls until at most want goroutines remain, failing after
+// a deadline: a goroutine that has returned is not reaped synchronously.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines remain, want at most %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,4 +1,4 @@
-package rollout
+package sched
 
 import (
 	"math/rand"
@@ -7,55 +7,8 @@ import (
 
 	"fastrl/internal/draft"
 	"fastrl/internal/gpu"
-	"fastrl/internal/model"
-	"fastrl/internal/tokenizer"
 	"fastrl/internal/workload"
 )
-
-type testEnv struct {
-	tk      *tokenizer.Tokenizer
-	target  *model.LM
-	drafter *draft.Eagle
-	gen     *workload.TaskGen
-}
-
-func newEnv(t testing.TB) *testEnv {
-	t.Helper()
-	tk := tokenizer.New()
-	cfg := model.DefaultConfig(tk.VocabSize(), gpu.Qwen7B)
-	cfg.Buckets = 1 << 10
-	var digits []int
-	for d := 0; d <= 9; d++ {
-		digits = append(digits, tk.Digit(d))
-	}
-	target := model.New(cfg, &model.GrammarPrior{AnswerID: tk.Answer(), EosID: tk.Eos(), DigitIDs: digits})
-	gen := workload.NewTaskGen(tk, 50, 3)
-
-	// Warm the drafter on target rollouts.
-	e := draft.NewEagle(draft.EagleDefault(tk.VocabSize(), gpu.Qwen7B))
-	rng := rand.New(rand.NewSource(4))
-	var examples []*draft.Example
-	for _, task := range gen.Sample(60) {
-		seq := model.Generate(target, task.Prompt, nil, 1, 50, tk.Eos(), rng)
-		examples = append(examples, draft.HarvestExamples(target, model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, true)...)
-	}
-	for i := 0; i < 3; i++ {
-		e.Train(examples, nil, rng)
-	}
-	return &testEnv{tk: tk, target: target, drafter: e, gen: gen}
-}
-
-func (env *testEnv) requests(t testing.TB, n, maxNew int, seed int64) []*Request {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	sampler := workload.DefaultLengthSampler(maxNew)
-	var reqs []*Request
-	for i, task := range env.gen.Sample(n) {
-		prior := workload.PriorFor(task, sampler, rng)
-		reqs = append(reqs, NewRequest(i, task.Prompt, maxNew, prior, env.tk.Answer(), env.tk.Eos()))
-	}
-	return reqs
-}
 
 func TestVanillaRunCompletes(t *testing.T) {
 	env := newEnv(t)
@@ -66,7 +19,7 @@ func TestVanillaRunCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := env.requests(t, 8, 120, 1)
-	stats := eng.Run(reqs, rand.New(rand.NewSource(2)))
+	stats := eng.Run(reqs, rand.New(rand.NewSource(2)), 0)
 
 	if stats.SDSteps != 0 {
 		t.Fatalf("SD ran while disabled: %d steps", stats.SDSteps)
@@ -90,8 +43,11 @@ func TestVanillaRunCompletes(t *testing.T) {
 	if stats.Elapsed <= 0 {
 		t.Fatal("no virtual time elapsed")
 	}
-	if len(stats.CompletionTimes) != len(reqs) {
-		t.Fatalf("completion times %d != requests %d", len(stats.CompletionTimes), len(reqs))
+	// The batch is fresh, so the run spans virtual time [0, Elapsed].
+	for _, r := range reqs {
+		if r.FinishedAt() <= 0 || r.FinishedAt() > stats.Elapsed {
+			t.Fatalf("request %d finished at %v, outside the run [0, %v]", r.ID, r.FinishedAt(), stats.Elapsed)
+		}
 	}
 }
 
@@ -104,7 +60,7 @@ func TestSDFasterThanVanillaAtSmallBatch(t *testing.T) {
 		cfg.SDThreshold = threshold
 		var dr draft.Drafter
 		if threshold >= 0 {
-			dr = env.drafter
+			dr = env.eagle
 		}
 		eng, err := New(cfg, env.target, dr)
 		if err != nil {
@@ -115,7 +71,7 @@ func TestSDFasterThanVanillaAtSmallBatch(t *testing.T) {
 		for _, r := range reqs {
 			r.Prior = workload.LengthPrior{TargetLen: 280, Sharpness: 12}
 		}
-		return eng.Run(reqs, rand.New(rand.NewSource(3)))
+		return eng.Run(reqs, rand.New(rand.NewSource(3)), 0)
 	}
 	vanilla := run(-1)
 	sd := run(0) // always SD
@@ -134,12 +90,12 @@ func TestElasticActivation(t *testing.T) {
 	env := newEnv(t)
 	cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	cfg.SDThreshold = 4
-	eng, err := New(cfg, env.target, env.drafter)
+	eng, err := New(cfg, env.target, env.eagle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := env.requests(t, 12, 100, 5)
-	stats := eng.Run(reqs, rand.New(rand.NewSource(6)))
+	stats := eng.Run(reqs, rand.New(rand.NewSource(6)), 0)
 
 	// SD must only appear in iterations with <= threshold running.
 	for _, p := range stats.Profile {
@@ -161,12 +117,12 @@ func TestElasticActivation(t *testing.T) {
 func TestProfileMonotoneAndShrinking(t *testing.T) {
 	env := newEnv(t)
 	cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
-	eng, err := New(cfg, env.target, env.drafter)
+	eng, err := New(cfg, env.target, env.eagle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := env.requests(t, 16, 150, 8)
-	stats := eng.Run(reqs, rand.New(rand.NewSource(9)))
+	stats := eng.Run(reqs, rand.New(rand.NewSource(9)), 0)
 	prevEnd := time.Duration(-1)
 	prevRunning := 1 << 30
 	for i, p := range stats.Profile {
@@ -185,12 +141,12 @@ func TestMABReceivesRewards(t *testing.T) {
 	env := newEnv(t)
 	cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	cfg.SDThreshold = 0
-	eng, err := New(cfg, env.target, env.drafter)
+	eng, err := New(cfg, env.target, env.eagle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := env.requests(t, 4, 120, 10)
-	eng.Run(reqs, rand.New(rand.NewSource(11)))
+	eng.Run(reqs, rand.New(rand.NewSource(11)), 0)
 	sel := eng.Selector()
 	anyReward := false
 	for _, a := range sel.Arms() {
@@ -213,7 +169,7 @@ func TestNGramDrafterEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := env.requests(t, 4, 100, 12)
-	stats := eng.Run(reqs, rand.New(rand.NewSource(13)))
+	stats := eng.Run(reqs, rand.New(rand.NewSource(13)), 0)
 	if stats.SDSteps == 0 {
 		t.Fatal("model-free SD never ran")
 	}
@@ -230,7 +186,7 @@ func TestRunDeterminism(t *testing.T) {
 	proto := env.requests(t, 6, 80, 20)
 	run := func() Stats {
 		cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
-		eng, err := New(cfg, env.target, env.drafter.Clone())
+		eng, err := New(cfg, env.target, env.eagle.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +194,7 @@ func TestRunDeterminism(t *testing.T) {
 		for i, r := range proto {
 			reqs[i] = NewRequest(r.ID, r.Prompt, r.MaxNew, r.Prior, r.AnswerID, r.EosID)
 		}
-		return eng.Run(reqs, rand.New(rand.NewSource(21)))
+		return eng.Run(reqs, rand.New(rand.NewSource(21)), 0)
 	}
 	a, b := run(), run()
 	if a.ResponseTokens != b.ResponseTokens || a.Elapsed != b.Elapsed {
@@ -252,7 +208,7 @@ func TestGraphPlanSelection(t *testing.T) {
 	for _, plan := range []string{"bucketed", "single", "naive", "none"} {
 		cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 		cfg.GraphPlan = plan
-		eng, err := New(cfg, env.target, env.drafter)
+		eng, err := New(cfg, env.target, env.eagle)
 		if err != nil {
 			t.Fatalf("plan %q: %v", plan, err)
 		}
@@ -262,7 +218,7 @@ func TestGraphPlanSelection(t *testing.T) {
 	}
 	cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	cfg.GraphPlan = "bogus"
-	if _, err := New(cfg, env.target, env.drafter); err == nil {
+	if _, err := New(cfg, env.target, env.eagle); err == nil {
 		t.Fatal("expected error for unknown plan")
 	}
 }
@@ -285,7 +241,7 @@ func TestLongTailProfileShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := env.requests(t, 24, 400, 30)
-	stats := eng.Run(reqs, rand.New(rand.NewSource(31)))
+	stats := eng.Run(reqs, rand.New(rand.NewSource(31)), 0)
 
 	var smallBatchTime, totalTime time.Duration
 	var prev time.Duration

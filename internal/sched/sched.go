@@ -7,17 +7,19 @@
 // the simulated device exactly one iteration's cost.
 //
 // The scheduler is the single request-lifecycle implementation shared by
-// the trainer (rollout.Engine drives a closed batch to completion) and
-// the serving layer (replica step-loops drain an admission queue into
-// their batch each iteration). Elastic SD activation, BEG-MAB strategy
-// selection, tool-wait partitioning, the KV-residency bound, and
-// prefix-cache prefill skipping all live here, so every caller gets the
-// same semantics.
+// the trainer and the serving layer. Batch.Run is the Adaptive Rollout
+// Engine of paper §5: it drives a closed batch to completion; serving
+// replica step-loops instead drain an admission queue into their batch
+// each iteration. Elastic SD activation, BEG-MAB strategy selection,
+// tool-wait partitioning, the KV-residency bound, and prefix-cache
+// prefill skipping all live here, so every caller gets the same
+// semantics.
 //
 // Token generation is genuine — every response token is sampled from the
 // target model (speculatively or not, with identical distribution) —
 // while latency is charged to a virtual clock through the gpu roofline
-// model.
+// model. Token streams are pinned bit-identical to the pre-scheduler
+// rollout engine under fixed seeds (see TestLifecycleGolden).
 package sched
 
 import (
@@ -88,10 +90,9 @@ type Config struct {
 	KVBudgetBytes float64
 	// StopAtRemaining truncates a closed run once this few requests remain
 	// (the premature-termination strategy of partial-rollout systems the
-	// paper contrasts with). The scheduler itself never truncates — the
-	// run-to-completion driver (rollout.Engine) applies the policy via
-	// TruncateRemaining; it is carried here so engine configuration stays
-	// one value.
+	// paper contrasts with). Step never truncates — the run-to-completion
+	// driver (Batch.Run) applies the policy via TruncateRemaining; it is
+	// carried here so engine configuration stays one value.
 	StopAtRemaining int
 	// Cache, when non-nil, is a shared radix prefix cache: prefill skips
 	// positions covered by a cached prefix (their target state is already
@@ -147,19 +148,20 @@ type StepProfile struct {
 
 // Stats summarises scheduler activity since the last ResetStats.
 type Stats struct {
-	PromptTokens    int
-	ResponseTokens  int
-	Elapsed         time.Duration
-	Profile         []StepProfile
-	SDSteps         int
-	VanillaSteps    int
-	AcceptLenSum    int
-	AcceptRounds    int
-	GraphMemBytes   float64
-	SwitchCount     int
-	DraftedNodes    int
-	VerifiedTokens  int
-	CompletionTimes []time.Duration
+	PromptTokens   int
+	ResponseTokens int
+	Elapsed        time.Duration
+	// Profile is one record per decoding iteration of a Run (Fig. 14
+	// data). Only Run fills it; Batch.Stats leaves it nil.
+	Profile        []StepProfile
+	SDSteps        int
+	VanillaSteps   int
+	AcceptLenSum   int
+	AcceptRounds   int
+	GraphMemBytes  float64
+	SwitchCount    int
+	DraftedNodes   int
+	VerifiedTokens int
 	// ToolWaitTime is total virtual time requests spent in GPU-free tool
 	// calls; ToolCalls counts them.
 	ToolWaitTime time.Duration
@@ -217,18 +219,8 @@ type Batch struct {
 	spec specdec.Engine
 
 	// Clock may be shared across batches (one worker per batch); defaults
-	// to a fresh clock. Timeline records labelled cost spans; set it to
-	// nil on long-running step-loops (serving replicas) — like the
-	// per-step profile, an unbounded span log has no place on a hot path
-	// that never ends.
-	Clock    *vclock.Clock
-	Timeline *vclock.Timeline
-
-	// RecordProfile controls per-iteration StepProfile accumulation.
-	// Closed runs (the trainer) keep it on for Fig. 14-style profiles;
-	// long-running serving step-loops turn it off so the scheduler holds
-	// no unbounded per-step state.
-	RecordProfile bool
+	// to a fresh clock.
+	Clock *vclock.Clock
 
 	// The inflight set lives in a slot table driven by per-state
 	// occupancy bitmaps (the CG-OoO issue-window shape: bitmap state,
@@ -291,12 +283,10 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Batch, error) {
 		return nil, fmt.Errorf("sched: nil device")
 	}
 	b := &Batch{
-		cfg:           cfg,
-		target:        target,
-		drafter:       drafter,
-		Clock:         &vclock.Clock{},
-		Timeline:      &vclock.Timeline{},
-		RecordProfile: true,
+		cfg:     cfg,
+		target:  target,
+		drafter: drafter,
+		Clock:   &vclock.Clock{},
 	}
 	b.spec = specdec.Engine{Target: target, Temp: cfg.Temp}
 	if cfg.Metrics != nil {
@@ -389,9 +379,7 @@ func (b *Batch) ActiveCount() int {
 // (prefilled, not yet retired).
 func (b *Batch) Inflight() int { return b.live }
 
-// Stats returns a copy of the accumulated statistics. Slice fields alias
-// scheduler-owned storage that is replaced (not reused) by ResetStats, so
-// a snapshot taken before a reset stays valid.
+// Stats returns a copy of the accumulated statistics.
 func (b *Batch) Stats() Stats {
 	s := b.stats
 	s.Elapsed = b.Clock.Now()
@@ -429,6 +417,54 @@ func (b *Batch) Reset() {
 	b.pending = b.pending[:0]
 	b.retired = b.retired[:0]
 }
+
+// Run is the run-to-completion driver, the trainer's rollout engine: every
+// request is admitted before the first step (one batched prefill), then
+// the batch steps until it is empty, maxIters iterations have run (0 = no
+// bound), or Config.StopAtRemaining truncates the tail. Requests decode
+// in admission order with the shared rng, reproducing the pre-scheduler
+// engine's draw order exactly. The returned Stats cover this run alone:
+// Elapsed is measured from its start and Profile holds one record per
+// decoding iteration. Requests an iteration bound left unfinished are
+// dropped (their cache pins released; a later Run re-admits and re-pins
+// them), so the batch is empty and reusable when Run returns. Steady-state
+// throughput measurements at a fixed batch size bound maxIters with
+// requests that cannot finish within it.
+func (b *Batch) Run(reqs []*Request, rng *rand.Rand, maxIters int) Stats {
+	b.Reset()
+	b.ResetStats()
+	start := b.Clock.Now()
+	for _, r := range reqs {
+		b.Admit(r)
+	}
+	var profile []StepProfile
+	for iter := 0; maxIters <= 0 || iter < maxIters; iter++ {
+		active := b.ActiveCount()
+		if active == 0 {
+			break
+		}
+		// Premature termination: the long tail is cut instead of decoded.
+		if b.cfg.StopAtRemaining > 0 && active <= b.cfg.StopAtRemaining && iter > 0 {
+			b.TruncateRemaining()
+			break
+		}
+		if prof, ok := b.Step(rng); ok {
+			profile = append(profile, prof)
+		}
+	}
+	stats := b.Stats()
+	stats.Elapsed = b.Clock.Now() - start
+	stats.Profile = profile
+	b.Reset()
+	return stats
+}
+
+// Close stops the speculation engine's pipeline workers
+// (specdec.Engine.Close). A batch that ran a pipelined SD round keeps two
+// parked goroutines, and through them itself, alive until it is closed,
+// so whoever drops a batch must Close it. Close is idempotent and, like
+// every Batch method, runs on the batch-owning goroutine.
+func (b *Batch) Close() { b.spec.Close() }
 
 // Retire returns the requests that finished since the last call, in the
 // order they completed, and clears the internal buffer. The returned
@@ -570,7 +606,6 @@ func (b *Batch) TruncateRemaining() {
 			r.hasFinished = true
 			b.done.set(i)
 			b.stats.TruncatedRequests++
-			b.stats.CompletionTimes = append(b.stats.CompletionTimes, now)
 		}
 	}
 	for _, r := range b.pending {
@@ -582,7 +617,6 @@ func (b *Batch) TruncateRemaining() {
 		r.finishedAt = now
 		r.hasFinished = true
 		b.stats.TruncatedRequests++
-		b.stats.CompletionTimes = append(b.stats.CompletionTimes, now)
 	}
 	b.collectRetired()
 	// Pending requests never prefilled; retire them too.
@@ -673,13 +707,9 @@ func (b *Batch) Step(rng *rand.Rand) (StepProfile, bool) {
 		// drafter state (paper §6.4: completes within seconds). Runs
 		// that start in SD need no switch.
 		b.stats.SwitchCount++
-		t0 := b.Clock.Now()
 		b.Clock.Advance(b.cfg.SwitchCost)
 		// The activation switch is a re-prefill of the running batch.
 		ph.add(PhasePrefill, b.cfg.SwitchCost)
-		if b.Timeline != nil {
-			b.Timeline.Record("sd-switch", t0, b.Clock.Now())
-		}
 	}
 	b.sdActive = useSD
 
@@ -715,12 +745,8 @@ func (b *Batch) Step(rng *rand.Rand) (StepProfile, bool) {
 			if !r.hasFinished {
 				r.finishedAt = b.Clock.Now()
 				r.hasFinished = true
-				b.stats.CompletionTimes = append(b.stats.CompletionTimes, r.finishedAt)
 			}
 		}
-	}
-	if b.RecordProfile {
-		b.stats.Profile = append(b.stats.Profile, prof)
 	}
 	if b.mSteps != nil {
 		b.mSteps.Inc()
@@ -773,9 +799,6 @@ func (b *Batch) prefillPending() {
 		}).Total() + b.cfg.HostOverhead
 		b.Clock.Advance(cost)
 		b.cfg.Phases.add(PhasePrefill, cost)
-		if b.Timeline != nil {
-			b.Timeline.Record("prefill", t0, b.Clock.Now())
-		}
 	}
 	end := b.Clock.Now()
 	for _, r := range b.pending {
@@ -1030,9 +1053,6 @@ func (b *Batch) vanillaStep(active []*Request, rng *rand.Rand) StepProfile {
 	b.Clock.Advance(cost)
 	// Vanilla decode is all commit: no draft pass exists to attribute.
 	b.cfg.Phases.add(PhaseVerify, cost)
-	if b.Timeline != nil {
-		b.Timeline.Record("decode", t0, b.Clock.Now())
-	}
 	end := b.Clock.Now()
 	for _, r := range active {
 		if r.Trace != nil {
@@ -1141,9 +1161,6 @@ func (b *Batch) sdStep(active []*Request, rng *rand.Rand) StepProfile {
 		b.cfg.Phases.add(PhaseDraft, draftCost)
 	}
 	b.cfg.Phases.add(PhaseVerify, verifyCost)
-	if b.Timeline != nil {
-		b.Timeline.Record("sd", t0, b.Clock.Now())
-	}
 	end := b.Clock.Now()
 	for i, r := range active {
 		if r.Trace != nil {

@@ -68,6 +68,20 @@ func (env *testEnv) poolRequest(id, task, maxNew int, seed int64) *Request {
 	return r
 }
 
+// requests samples n requests from the task generator with seeded length
+// priors; successive calls advance the generator, so they differ.
+func (env *testEnv) requests(t testing.TB, n, maxNew int, seed int64) []*Request {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	sampler := workload.DefaultLengthSampler(maxNew)
+	var reqs []*Request
+	for i, task := range env.gen.Sample(n) {
+		prior := workload.PriorFor(task, sampler, rng)
+		reqs = append(reqs, NewRequest(i, task.Prompt, maxNew, prior, env.tk.Answer(), env.tk.Eos()))
+	}
+	return reqs
+}
+
 // runToCompletion drives a batch until every admitted request finished,
 // collecting retirements.
 func runToCompletion(t *testing.T, b *Batch, rng *rand.Rand) []*Request {

@@ -25,8 +25,6 @@ func runTracedBurst(t *testing.T, env *testEnv, tr *trace.Tracer, reg *metrics.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.RecordProfile = false
-	b.Timeline = nil
 	rng := rand.New(rand.NewSource(7))
 
 	const n = 12
@@ -177,8 +175,6 @@ func TestBatchStepTracedZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.RecordProfile = false
-	b.Timeline = nil
 	fr := trace.NewFlightRecorder(1024)
 	tr := trace.New(trace.Config{SpanSlots: 1 << 12})
 	rng := rand.New(rand.NewSource(61))

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"fastrl/internal/gpu"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/specdec"
 	"fastrl/internal/tokenizer"
 )
@@ -16,7 +16,7 @@ import (
 // batch size, which is the point of the MAB but would make this test's
 // solo-vs-batched comparison ill-defined).
 func fixedStrategyServerConfig(tk *tokenizer.Tokenizer, replicas, maxBatch int) Config {
-	ecfg := rollout.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
+	ecfg := sched.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	ecfg.SDThreshold = 0
 	ecfg.Strategies = []specdec.Params{{DraftDepth: 6, TopK: 6, TokensToVerify: 24}}
 	ecfg.MAB.Thresholds = []int{1}

@@ -35,7 +35,6 @@ import (
 	"fastrl/internal/metrics"
 	"fastrl/internal/model"
 	"fastrl/internal/prefixcache"
-	"fastrl/internal/rollout"
 	"fastrl/internal/sched"
 	"fastrl/internal/slo"
 	"fastrl/internal/trace"
@@ -44,9 +43,9 @@ import (
 
 // Config parameterises the server.
 type Config struct {
-	// Engine configures each replica's rollout engine (device, SD
+	// Engine configures each replica's scheduler batch (device, SD
 	// threshold, strategies).
-	Engine rollout.Config
+	Engine sched.Config
 	// Replicas is the number of concurrent model replicas (each one
 	// step-loop worker goroutine with its own scheduler batch and virtual
 	// clock).
@@ -321,16 +320,15 @@ func (s *Server) replica(id int) {
 		}
 		return
 	}
-	// A serving step-loop runs indefinitely: per-iteration profiles would
-	// be an unbounded accumulator (the serving layer keeps its own bounded
-	// latency reservoir instead).
-	batch.RecordProfile = false
+	// The replica owns its batch until it exits, on every path (drain,
+	// crash); closing it stops the batch's pipeline workers.
+	defer batch.Close()
 	// Shared fallback stream for Batch.Step; never drawn from, since every
 	// admitted request carries its own seeded RNG.
 	rng := rand.New(rand.NewSource(0x5eed ^ int64(id)))
 	// running tracks the jobs inside this replica's batch so each step can
 	// publish their stream progress; samples batches the step's TTFT/ITL
-	// reservoir feeds into one stats-lock acquisition.
+	// histogram records into one stats-lock acquisition.
 	running := make([]*job, 0, s.cfg.MaxBatch)
 	samples := &stepSamples{
 		ttfts: make([]latSample, 0, s.cfg.MaxBatch),
@@ -428,7 +426,7 @@ func (s *Server) replica(id int) {
 		// Publish the step's progress — retiring requests first, so their
 		// final chunk (and its TTFT/ITL bookkeeping) lands before the
 		// terminal event — then fold the step's SLO samples into the
-		// reservoirs before any terminal event wakes a client: a caller
+		// histograms before any terminal event wakes a client: a caller
 		// returning from Wait must find its samples already in Stats.
 		for _, r := range retired {
 			s.publishProgress(r.Tag.(*job), r, now, samples)
@@ -566,10 +564,9 @@ func (s *Server) DupSuppressed() int64 { return s.dupSuppressed.Load() }
 
 // TailHistograms returns clones of the latency and TTFT histograms, for
 // exact bucket-wise merging into cluster-level tail percentiles.
-// metrics.Histogram.Merge is deterministic and order-independent, unlike
-// the seen-weighted reservoir sampling it replaced, so merged p99.9s no
-// longer drift run to run — and the merged tail buckets keep their
-// exemplar request IDs.
+// metrics.Histogram.Merge is deterministic and order-independent, so
+// merged p99.9s do not drift run to run — and the merged tail buckets
+// keep their exemplar request IDs.
 func (s *Server) TailHistograms() (lats, ttfts *metrics.Histogram) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -10,7 +10,7 @@ import (
 	"fastrl/internal/draft"
 	"fastrl/internal/gpu"
 	"fastrl/internal/model"
-	"fastrl/internal/rollout"
+	"fastrl/internal/sched"
 	"fastrl/internal/tokenizer"
 	"fastrl/internal/workload"
 )
@@ -42,7 +42,7 @@ func servingSetup(t testing.TB) (*model.LM, *draft.Eagle, *tokenizer.Tokenizer, 
 }
 
 func serverConfig(tk *tokenizer.Tokenizer, replicas int) Config {
-	ecfg := rollout.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
+	ecfg := sched.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	ecfg.SDThreshold = 0
 	return Config{Engine: ecfg, Replicas: replicas, AnswerID: tk.Answer(), EosID: tk.Eos()}
 }

@@ -9,10 +9,10 @@ import (
 	"fastrl/internal/trace"
 )
 
-// TestServingHistogramExemplars pins the reservoir→histogram migration:
-// the latency/TTFT/ITL stats come from exemplar-linked histograms, and
-// the tail exemplars are real scheduler request IDs that a flight
-// recorder or trace export can be queried with.
+// TestServingHistogramExemplars pins that the latency/TTFT/ITL stats come
+// from exemplar-linked histograms, and that the tail exemplars are real
+// scheduler request IDs that a flight recorder or trace export can be
+// queried with.
 func TestServingHistogramExemplars(t *testing.T) {
 	target, e, tk, gen := servingSetup(t)
 	srv, err := New(serverConfig(tk, 2), target, e)

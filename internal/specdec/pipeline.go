@@ -26,16 +26,16 @@ type pipeMsg struct {
 // the caller's goroutine drafts, a scoring worker runs each tree's
 // grouped target pass with the engine's second model.Scratch (the double
 // buffer), and a verify worker walks scored trees strictly in sequence
-// order (it owns the round's RNG draws). Workers are started once per
-// engine and park on their inbound channel between rounds — steady-state
-// rounds allocate nothing. Round state (the seqs/trees/rngs/out slices)
+// order (it owns the round's RNG draws). Workers start with the engine's
+// first pipelined round and park on their inbound channel between rounds
+// until Close — steady-state rounds allocate nothing. Round state (the seqs/trees/rngs/out slices)
 // is published before the first send and cleared after the completion
 // signal; every cross-stage access is ordered by a channel happens-before
 // edge. See the package comment for the full safety argument.
 type pipe struct {
 	workCh   chan pipeMsg  // draft -> score
 	scoredCh chan pipeMsg  // score -> verify
-	doneCh   chan struct{} // verify -> caller, once per round
+	doneCh   chan struct{} // verify -> caller, once per round; closed on exit
 
 	mscScore *model.Scratch // scoring stage's model scratch (double buffer)
 	sorted   []int          // verify worker's candidate-order scratch
@@ -59,9 +59,9 @@ func (e *Engine) usePipeline(n int) bool {
 
 // pipelineFor returns the engine's pipeline, starting its two stage
 // workers on first use. The workers are part of the engine's scratch:
-// they idle parked on a channel between rounds and live as long as the
-// engine (engines are per-worker and long-lived; a parked goroutine
-// costs a few KB of stack).
+// they idle parked on a channel between rounds and hold the engine, and
+// everything it references, until Close stops them. An owner that drops
+// an engine which may have run a pipelined round must Close it.
 func (e *Engine) pipelineFor() *pipe {
 	sc := e.sc
 	if sc.pipeline == nil {
@@ -76,6 +76,22 @@ func (e *Engine) pipelineFor() *pipe {
 		go e.verifyLoop(pp)
 	}
 	return sc.pipeline
+}
+
+// Close stops the pipeline's stage workers and returns once they are
+// done: closing the work channel ends scoreLoop, which closes the scored
+// channel and so ends verifyLoop, which closes the done channel. It must
+// run on the engine-owning goroutine between rounds. Close is idempotent,
+// and the engine stays usable: a later pipelined round starts fresh
+// workers.
+func (e *Engine) Close() {
+	if e.sc == nil || e.sc.pipeline == nil {
+		return
+	}
+	pp := e.sc.pipeline
+	e.sc.pipeline = nil
+	close(pp.workCh)
+	<-pp.doneCh
 }
 
 // scoreLoop is the scoring stage: one grouped target pass per drafted
@@ -99,6 +115,7 @@ func (e *Engine) verifyLoop(pp *pipe) {
 			pp.doneCh <- struct{}{}
 		}
 	}
+	close(pp.doneCh)
 }
 
 // stepBatchPipelined is StepBatch's overlapped body: drafting sequence

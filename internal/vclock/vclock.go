@@ -5,8 +5,6 @@
 package vclock
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -54,109 +52,4 @@ func (c *Clock) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.now = 0
-}
-
-// Span is a labelled interval on a worker timeline.
-type Span struct {
-	Label string
-	Start time.Duration
-	End   time.Duration
-}
-
-// Duration returns the length of the span.
-func (s Span) Duration() time.Duration { return s.End - s.Start }
-
-func (s Span) String() string {
-	return fmt.Sprintf("%s[%v,%v]", s.Label, s.Start, s.End)
-}
-
-// Timeline records labelled spans for a single worker. It is used to
-// compute utilisation and to render rollout profiles (paper Fig. 1(b),
-// Fig. 14). Timeline methods are not safe for concurrent use; each worker
-// owns its timeline.
-type Timeline struct {
-	Worker int
-	Spans  []Span
-}
-
-// Record appends a span. Spans may be appended out of order; Sort fixes
-// ordering before analysis.
-func (t *Timeline) Record(label string, start, end time.Duration) {
-	if end < start {
-		start, end = end, start
-	}
-	t.Spans = append(t.Spans, Span{Label: label, Start: start, End: end})
-}
-
-// Sort orders spans by start time.
-func (t *Timeline) Sort() {
-	sort.Slice(t.Spans, func(i, j int) bool { return t.Spans[i].Start < t.Spans[j].Start })
-}
-
-// BusyWithin returns the total time covered by spans with any of the given
-// labels, clipped to the window [from, to). Overlapping spans with the same
-// label are merged so time is not double counted.
-func (t *Timeline) BusyWithin(from, to time.Duration, labels ...string) time.Duration {
-	want := make(map[string]bool, len(labels))
-	for _, l := range labels {
-		want[l] = true
-	}
-	var clipped []Span
-	for _, s := range t.Spans {
-		if len(labels) > 0 && !want[s.Label] {
-			continue
-		}
-		st, en := s.Start, s.End
-		if st < from {
-			st = from
-		}
-		if en > to {
-			en = to
-		}
-		if en > st {
-			clipped = append(clipped, Span{Start: st, End: en})
-		}
-	}
-	sort.Slice(clipped, func(i, j int) bool { return clipped[i].Start < clipped[j].Start })
-	var busy time.Duration
-	var curStart, curEnd time.Duration
-	started := false
-	for _, s := range clipped {
-		if !started {
-			curStart, curEnd, started = s.Start, s.End, true
-			continue
-		}
-		if s.Start <= curEnd {
-			if s.End > curEnd {
-				curEnd = s.End
-			}
-			continue
-		}
-		busy += curEnd - curStart
-		curStart, curEnd = s.Start, s.End
-	}
-	if started {
-		busy += curEnd - curStart
-	}
-	return busy
-}
-
-// Utilization returns the fraction of [from, to) covered by spans with the
-// given labels (all labels if none given).
-func (t *Timeline) Utilization(from, to time.Duration, labels ...string) float64 {
-	if to <= from {
-		return 0
-	}
-	return float64(t.BusyWithin(from, to, labels...)) / float64(to-from)
-}
-
-// End returns the latest span end time, or zero for an empty timeline.
-func (t *Timeline) End() time.Duration {
-	var end time.Duration
-	for _, s := range t.Spans {
-		if s.End > end {
-			end = s.End
-		}
-	}
-	return end
 }

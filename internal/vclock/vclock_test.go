@@ -48,58 +48,3 @@ func TestClockConcurrentAdvance(t *testing.T) {
 		t.Fatalf("concurrent advances lost updates: %v", got)
 	}
 }
-
-func TestTimelineBusyWithin(t *testing.T) {
-	tl := &Timeline{Worker: 0}
-	tl.Record("rollout", 0, 10)
-	tl.Record("rollout", 5, 15)  // overlaps previous
-	tl.Record("train", 20, 30)   // different label
-	tl.Record("rollout", 40, 50) // disjoint
-
-	if got := tl.BusyWithin(0, 100, "rollout"); got != 25 {
-		t.Fatalf("merged busy time = %v, want 25", got)
-	}
-	if got := tl.BusyWithin(0, 100, "train"); got != 10 {
-		t.Fatalf("train busy time = %v, want 10", got)
-	}
-	// All labels.
-	if got := tl.BusyWithin(0, 100); got != 35 {
-		t.Fatalf("total busy time = %v, want 35", got)
-	}
-	// Clipping.
-	if got := tl.BusyWithin(8, 12, "rollout"); got != 4 {
-		t.Fatalf("clipped busy time = %v, want 4", got)
-	}
-}
-
-func TestTimelineUtilization(t *testing.T) {
-	tl := &Timeline{}
-	tl.Record("x", 0, 50)
-	if u := tl.Utilization(0, 100); u != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", u)
-	}
-	if u := tl.Utilization(100, 100); u != 0 {
-		t.Fatalf("empty window utilization = %v, want 0", u)
-	}
-}
-
-func TestTimelineRecordSwapsReversedSpan(t *testing.T) {
-	tl := &Timeline{}
-	tl.Record("x", 10, 5)
-	if tl.Spans[0].Start != 5 || tl.Spans[0].End != 10 {
-		t.Fatalf("reversed span not normalised: %+v", tl.Spans[0])
-	}
-	if tl.End() != 10 {
-		t.Fatalf("End = %v, want 10", tl.End())
-	}
-}
-
-func TestTimelineSort(t *testing.T) {
-	tl := &Timeline{}
-	tl.Record("b", 10, 20)
-	tl.Record("a", 0, 5)
-	tl.Sort()
-	if tl.Spans[0].Label != "a" {
-		t.Fatalf("Sort did not order by start: %v", tl.Spans)
-	}
-}
