@@ -4,8 +4,8 @@
 // spot trainer's selective-async checkpointer, reloads it into a fresh
 // process, and serves the frozen policy through the sharded cluster:
 // per-shard radix prefix caches skip re-prefilling shared prompt
-// prefixes, and cache-aware routing sends each request to the shard
-// whose cache already covers it.
+// prefixes, and prefix-affinity routing sends every request with the
+// same leading prompt tokens to the same shard, whose cache covers it.
 //
 //	go run ./examples/deploy_drafter
 package main
@@ -75,13 +75,13 @@ func main() {
 	// ---- Phase 3: deployment. A fresh drafter instance loads the
 	// checkpoint and serves the (now frozen) policy through a sharded
 	// cluster: every shard gets its own radix prefix cache, and the
-	// cache-aware router sends each request to the shard whose cache
-	// already covers the longest prefix of its prompt.
+	// prefix-affinity router hashes each prompt's leading tokens to a
+	// shard, so a repeated prompt lands where its prefix is cached.
 	served := draft.NewEagle(draft.EagleDefault(sys.Tk.VocabSize(), cfg.Arch))
 	if _, err := spot.Load(cs.Path, served); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("phase 3: serving through a cache-aware sharded cluster...")
+	fmt.Println("phase 3: serving through a prefix-affinity sharded cluster...")
 
 	const shards = 2
 	caches := cluster.NewShardCaches(shards, prefixcache.Config{})
@@ -104,7 +104,7 @@ func main() {
 			MaxBatch: 8,
 			AnswerID: sys.Tk.Answer(), EosID: sys.Tk.Eos(),
 		},
-		Policy: cluster.NewCacheAware(caches),
+		Policy: cluster.NewPrefixAffinity(8),
 		Caches: caches,
 		// A tight per-shard backlog makes admission control a live part of
 		// the demo: shed requests come back as typed *ErrShedded with a

@@ -1,34 +1,15 @@
 package cluster
 
-import (
-	"testing"
-
-	"fastrl/internal/cachefabric"
-	"fastrl/internal/prefixcache"
-)
+import "testing"
 
 // TestRouterZeroAlloc pins the router's steady-state hot path — live-set
 // snapshot plus policy pick — at zero heap allocations per routed request
 // for every shipped policy, matching the repo's perf methodology
-// (ROADMAP: steady-state hot paths stay at 0 allocs/op). The cache-aware
-// policy is pinned both cold (least-loaded fallback) and with a warm
-// cache (MatchLen probes on every live shard).
+// (ROADMAP: steady-state hot paths stay at 0 allocs/op).
 func TestRouterZeroAlloc(t *testing.T) {
 	target, e, tk, gen := clusterSetup(t)
 	prompt := gen.Pool()[0].Prompt
-	warm := NewShardCaches(4, prefixcache.Config{})
-	warm[2].Insert(prompt, len(prompt), nil)
-	// A fabric whose directory already tracks the prompt: the pin covers
-	// the directory-hit path, not just the cold round-robin fallback.
-	fabric := cachefabric.New(cachefabric.Config{}, warm)
-	fabric.Sync()
-	policies := []Policy{
-		NewRoundRobin(), NewLeastLoaded(), NewPrefixAffinity(8),
-		NewCacheAware(NewShardCaches(4, prefixcache.Config{})), // cold
-		NewCacheAware(warm),
-		NewFabricAware(cachefabric.New(cachefabric.Config{}, NewShardCaches(4, prefixcache.Config{}))), // cold
-		NewFabricAware(fabric),
-	}
+	policies := []Policy{NewRoundRobin(), NewLeastLoaded(), NewPrefixAffinity(8)}
 	for _, p := range policies {
 		cfg := clusterConfig(tk, 4, 1)
 		cfg.Policy = p
@@ -50,10 +31,7 @@ func TestRouterZeroAlloc(t *testing.T) {
 func BenchmarkRouterPick(b *testing.B) {
 	target, e, tk, gen := clusterSetup(b)
 	prompt := gen.Pool()[0].Prompt
-	for _, p := range []Policy{
-		NewRoundRobin(), NewLeastLoaded(), NewPrefixAffinity(8),
-		NewCacheAware(NewShardCaches(8, prefixcache.Config{})),
-	} {
+	for _, p := range []Policy{NewRoundRobin(), NewLeastLoaded(), NewPrefixAffinity(8)} {
 		b.Run(p.Name(), func(b *testing.B) {
 			cfg := clusterConfig(tk, 8, 1)
 			cfg.Policy = p

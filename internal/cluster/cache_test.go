@@ -8,85 +8,14 @@ import (
 	"fastrl/internal/prefixcache"
 )
 
-// TestCacheAwareFallsBackCold pins the cold-cluster behaviour: with empty
-// caches the policy must behave exactly like least-loaded.
-func TestCacheAwareFallsBackCold(t *testing.T) {
-	caches := NewShardCaches(3, prefixcache.Config{})
-	p := NewCacheAware(caches)
-	live := []int{0, 1, 2}
-	loads := []int{5, 1, 3}
-	if got := p.Pick([]int{1, 2, 3}, live, loads); got != 1 {
-		t.Fatalf("cold pick = %d, want least-loaded 1", got)
-	}
-}
-
-// TestCacheAwarePrefersLongestMatch seeds different shard caches with
-// different depths of the query prompt and checks the policy follows the
-// longest match even against load.
-func TestCacheAwarePrefersLongestMatch(t *testing.T) {
-	caches := NewShardCaches(3, prefixcache.Config{})
-	prompt := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	caches[0].Insert(prompt[:3], 3, nil)
-	caches[2].Insert(prompt[:6], 6, nil)
-	p := NewCacheAware(caches)
-	live := []int{0, 1, 2}
-	loads := []int{0, 0, 9} // shard 2 is busiest but has the deepest match
-	if got := p.Pick(prompt, live, loads); got != 2 {
-		t.Fatalf("pick = %d, want deepest-match shard 2", got)
-	}
-	// Equal matches break toward the lower load.
-	caches[0].Insert(prompt[:6], 6, nil)
-	if got := p.Pick(prompt, live, []int{4, 0, 2}); got != 2 {
-		t.Fatalf("tie pick = %d, want lower-loaded shard 2", got)
-	}
-}
-
-// TestCacheAwareLoadSlack pins the hotspot guard: once the best-matching
-// shard's backlog exceeds the least-loaded one by more than LoadSlack,
-// the pick reverts to least-loaded.
-func TestCacheAwareLoadSlack(t *testing.T) {
-	caches := NewShardCaches(2, prefixcache.Config{})
-	prompt := []int{4, 5, 6, 7}
-	caches[0].Insert(prompt, len(prompt), nil)
-	p := NewCacheAware(caches)
-	p.LoadSlack = 3
-	live := []int{0, 1}
-	if got := p.Pick(prompt, live, []int{3, 0}); got != 0 {
-		t.Fatalf("pick = %d, want locality shard 0 within slack", got)
-	}
-	if got := p.Pick(prompt, live, []int{4, 0}); got != 1 {
-		t.Fatalf("pick = %d, want least-loaded 1 beyond slack", got)
-	}
-}
-
-// TestCacheAwareRespectsLiveSet checks the policy only scores live shards
-// (a parked shard's warm cache must not attract traffic).
-func TestCacheAwareRespectsLiveSet(t *testing.T) {
-	caches := NewShardCaches(3, prefixcache.Config{})
-	prompt := []int{9, 8, 7, 6}
-	caches[1].Insert(prompt, len(prompt), nil)
-	p := NewCacheAware(caches)
-	// Shard 1 (the warm one) is not live.
-	live := []int{0, 2}
-	loads := []int{2, 1}
-	got := p.Pick(prompt, live, loads)
-	if live[got] == 1 {
-		t.Fatal("picked a shard outside the live set")
-	}
-	if got != 1 { // index 1 in live = shard 2, the least loaded
-		t.Fatalf("pick = %d, want least-loaded fallback index 1", got)
-	}
-}
-
-// TestClusterCacheWiring runs traffic through a cache-aware cluster and
-// checks per-shard caches receive inserts, stats surface the probes, and
-// repeated prompts concentrate on the shard that served them first.
+// TestClusterCacheWiring runs traffic through a prefix-affinity cluster
+// and checks per-shard caches receive inserts, stats surface the probes,
+// and repeated prompts concentrate on the shard that served them first.
 func TestClusterCacheWiring(t *testing.T) {
 	target, e, tk, gen := clusterSetup(t)
 	cfg := clusterConfig(tk, 3, 1)
-	caches := NewShardCaches(cfg.Shards, prefixcache.Config{})
-	cfg.Caches = caches
-	cfg.Policy = NewCacheAware(caches)
+	cfg.Caches = NewShardCaches(cfg.Shards, prefixcache.Config{})
+	cfg.Policy = NewPrefixAffinity(8)
 	cl, err := New(cfg, target, e)
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +31,8 @@ func TestClusterCacheWiring(t *testing.T) {
 		}
 		shards = append(shards, resp.Shard)
 	}
-	// After the first completion the prompt is resident on the serving
-	// shard; every later identical prompt must be routed back to it.
+	// Every identical prompt must be routed back to the shard that served
+	// (and cached) it first.
 	for i := 1; i < len(shards); i++ {
 		if shards[i] != shards[0] {
 			t.Fatalf("request %d routed to shard %d, want affinity shard %d (routes %v)",
@@ -135,18 +64,17 @@ func TestClusterCacheMismatch(t *testing.T) {
 	}
 }
 
-// TestCacheAwareDeterministic replays the same sequential request stream
-// through two identically-configured cache-aware clusters and requires
-// identical routing and identical response tokens — the seed-determinism
-// property the bench experiment relies on.
-func TestCacheAwareDeterministic(t *testing.T) {
+// TestCacheRoutingDeterministic replays the same sequential request
+// stream through two identically-configured prefix-affinity clusters with
+// per-shard caches and requires identical routing and identical response
+// tokens — the seed-determinism property the bench experiment relies on.
+func TestCacheRoutingDeterministic(t *testing.T) {
 	target, e, tk, gen := clusterSetup(t)
 
 	run := func() ([]int, [][]int) {
 		cfg := clusterConfig(tk, 3, 1)
-		caches := NewShardCaches(cfg.Shards, prefixcache.Config{})
-		cfg.Caches = caches
-		cfg.Policy = NewCacheAware(caches)
+		cfg.Caches = NewShardCaches(cfg.Shards, prefixcache.Config{})
+		cfg.Policy = NewPrefixAffinity(8)
 		cl, err := New(cfg, target, e.Clone())
 		if err != nil {
 			t.Fatal(err)

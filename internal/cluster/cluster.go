@@ -18,11 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"fastrl/internal/cachefabric"
 	"fastrl/internal/coordinator"
 	"fastrl/internal/draft"
 	"fastrl/internal/metrics"
@@ -71,19 +71,10 @@ type Config struct {
 	Scaler ScalerConfig
 	// Caches, when non-nil, holds one prefix cache per shard (indexed by
 	// shard ID, length Shards): shard i's replicas share Caches[i] for
-	// prefill reuse and drafter warm-start. Pass the same slice to
-	// NewCacheAware to make routing cache-aware. NewShardCaches builds a
+	// prefill reuse and drafter warm-start, and a revived shard's cache is
+	// re-warmed from the others (see ReviveShard). NewShardCaches builds a
 	// uniformly-budgeted set.
 	Caches []*prefixcache.Cache
-	// Fabric, when non-nil, builds the cluster cache fabric over Caches
-	// (which must then be set): a prefix directory maintained from the
-	// per-shard cache stats, hot-prefix replication driven by FabricTick
-	// and applied by shards at their own step boundaries, and
-	// directory-driven warm handoff on revival and scaler promotion. Pass
-	// the fabric (Cluster.Fabric) to NewFabricAware to route against the
-	// directory. Nil — the default — keeps the cluster byte-identical to
-	// one without a fabric.
-	Fabric *cachefabric.Config
 	// Failover configures dead-shard failover (see FailoverConfig); the
 	// zero value disables it.
 	Failover FailoverConfig
@@ -108,7 +99,7 @@ type Config struct {
 }
 
 // NewShardCaches builds n independent prefix caches with a shared config,
-// ready to pass to Config.Caches and NewCacheAware.
+// ready to pass to Config.Caches.
 func NewShardCaches(n int, cfg prefixcache.Config) []*prefixcache.Cache {
 	out := make([]*prefixcache.Cache, n)
 	for i := range out {
@@ -174,8 +165,6 @@ type Cluster struct {
 	cfg    Config
 	shards []*shard
 	scaler *Scaler
-	// fabric is the cluster cache fabric (nil unless Config.Fabric).
-	fabric *cachefabric.Fabric
 	// target/drafter are kept so a dead shard can be rebuilt on revival.
 	target  *model.LM
 	drafter draft.Drafter
@@ -234,10 +223,7 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Cluster, error) 
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: need at least one shard")
 	}
-	if cfg.Policy == nil && cfg.Fabric == nil {
-		// With a fabric configured, a nil policy instead defaults to
-		// fabric-aware routing over the directory — resolved below, once
-		// the fabric exists.
+	if cfg.Policy == nil {
 		cfg.Policy = NewRoundRobin()
 	}
 	cfg.Admission = cfg.Admission.withDefaults()
@@ -252,14 +238,6 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Cluster, error) 
 	}
 	if cfg.Caches != nil && len(cfg.Caches) != cfg.Shards {
 		return nil, fmt.Errorf("cluster: %d caches for %d shards", len(cfg.Caches), cfg.Shards)
-	}
-	if cfg.Fabric != nil {
-		if cfg.Caches == nil {
-			return nil, fmt.Errorf("cluster: Fabric requires Caches")
-		}
-		if cfg.Shards > 64 {
-			return nil, fmt.Errorf("cluster: fabric supports at most 64 shards (bitmask holder sets)")
-		}
 	}
 	if cfg.FlightSlots <= 0 {
 		cfg.FlightSlots = 1024
@@ -280,13 +258,6 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Cluster, error) 
 	c.cErrored = c.reg.Counter("errored")
 	c.cFailovers = c.reg.Counter("failovers")
 	c.cDup = c.reg.Counter("dup_deliveries")
-	if cfg.Fabric != nil {
-		c.fabric = cachefabric.New(*cfg.Fabric, cfg.Caches)
-		c.fabric.RegisterMetrics(c.reg, "fabric/")
-		if c.cfg.Policy == nil {
-			c.cfg.Policy = NewFabricAware(c.fabric)
-		}
-	}
 	for _, r := range []struct {
 		name string
 		hist *metrics.Histogram
@@ -359,10 +330,6 @@ func (c *Cluster) shardServingConfig(sh *shard) serving.Config {
 	return shardCfg
 }
 
-// Fabric returns the cluster cache fabric (nil unless Config.Fabric was
-// set). Pass it to NewFabricAware for directory-scored routing.
-func (c *Cluster) Fabric() *cachefabric.Fabric { return c.fabric }
-
 // ShardServer returns shard id's current serving.Server — a diagnostics
 // escape hatch (chaos probes aim a request at a specific revived shard
 // through it); regular traffic goes through Stream/Serve routing.
@@ -370,60 +337,37 @@ func (c *Cluster) ShardServer(id int) *serving.Server {
 	return c.shards[id].server()
 }
 
-// FabricTick advances the cache fabric one replication round: gossip
-// (eviction journals drained, directory refreshed from per-shard hot
-// stats) followed by replication planning toward the currently serving
-// shards. Planned copies are enqueued on their target shards, which
-// apply them at their own step boundaries and confirm back to the
-// directory — the tick never touches a cache mid-step. Drive it at step
-// or window boundaries in virtual time; a no-op without a fabric.
-func (c *Cluster) FabricTick() {
-	if c.fabric == nil {
-		return
-	}
-	c.fabric.Sync()
-	var live uint64
-	for _, sh := range c.shards {
-		if coordinator.State(sh.state.Load()) == coordinator.Busy {
-			live |= 1 << uint(sh.id)
-		}
-	}
-	if live == 0 {
-		return
-	}
-	for _, r := range c.fabric.Plan(live) {
-		r := r
-		sh := c.shards[r.Target]
-		if !sh.server().EnqueueWarm(r.Prefix, func() { c.fabric.Confirm(r) }) {
-			c.fabric.Abort(r)
-		}
-	}
-}
-
-// hotPrefixLimit bounds how many prefixes a warm handoff copies into a
-// shard rejoining the serving set.
+// hotPrefixLimit bounds how many prefixes each survivor hands a revived
+// shard.
 const hotPrefixLimit = 64
 
-// warmHandoff seeds sh's prefix cache before it (re)joins the serving
-// set — the single warm-handoff path shared by crash revival and scaler
-// promotion. With a fabric the copy set is directory-driven (hottest
-// entries cluster-wide, hidden states included); without one it degrades
-// to the survivor scan the pre-fabric revival used.
+// warmHandoff seeds a revived shard's just-cleared prefix cache from the
+// survivors: every other shard's hotPrefixLimit hottest prefixes are
+// exported (tokens plus boundary hidden state) and imported, so the
+// revived shard skips prefill on the first templated request it serves.
+// Import is an LRU insert, so the copies go in coldest first: when they
+// overflow the cache's budget, eviction drops the coldest and the
+// hottest stay resident.
 func (c *Cluster) warmHandoff(sh *shard) {
-	if sh.cache == nil {
-		return
+	type hot struct {
+		src  *prefixcache.Cache
+		stat prefixcache.PrefixStat
 	}
-	if c.fabric != nil {
-		c.fabric.Handoff(sh.cache, sh.id, hotPrefixLimit)
-		return
-	}
-	srcs := make([]*prefixcache.Cache, 0, len(c.shards))
+	var cands []hot
 	for _, other := range c.shards {
-		if other != sh && other.cache != nil {
-			srcs = append(srcs, other.cache)
+		if other.cache == nil || other.cache == sh.cache {
+			continue
+		}
+		for _, st := range other.cache.HotPrefixStats(hotPrefixLimit) {
+			cands = append(cands, hot{other.cache, st})
 		}
 	}
-	cachefabric.HandoffFromSurvivors(sh.cache, srcs, hotPrefixLimit)
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].stat.Hits < cands[j].stat.Hits })
+	for _, h := range cands {
+		if ex, ok := h.src.Export(h.stat.Tokens); ok {
+			sh.cache.Import(ex)
+		}
+	}
 }
 
 // Scaler exposes the elastic scaler.

@@ -325,6 +325,62 @@ func TestWarmRecovery(t *testing.T) {
 	}
 }
 
+// TestReviveKeepsHottestPrefix pins the warm handoff's import order. A
+// survivor offers more prefixes than the revived cache's budget holds;
+// because Import is an LRU insert, the handoff must import coldest first
+// so the overflow evicts cold prefixes and the hottest one stays
+// resident.
+func TestReviveKeepsHottestPrefix(t *testing.T) {
+	target, e, tk, _ := clusterSetup(t)
+	cfg := clusterConfig(tk, 2, 1)
+	// 16-token single-node prefixes cost 240 modelled bytes each, so shard
+	// 0's revived cache holds about 10 of the 41 its survivor offers.
+	cfg.Caches = []*prefixcache.Cache{
+		prefixcache.New(prefixcache.Config{BudgetBytes: 2400}),
+		prefixcache.New(prefixcache.Config{}),
+	}
+	cl, err := New(cfg, target, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+
+	prefix := func(first int) []int {
+		p := make([]int, 16)
+		for i := range p {
+			p[i] = first + i
+		}
+		return p
+	}
+	lookup := func(c *prefixcache.Cache, p []int) {
+		n, _ := c.Lookup(p)
+		n.Release()
+	}
+	src := cfg.Caches[1]
+	hot := prefix(1000)
+	src.Insert(hot, len(hot), nil)
+	for i := 0; i < 50; i++ {
+		lookup(src, hot)
+	}
+	for i := 0; i < 40; i++ {
+		cold := prefix(2000 + 100*i)
+		src.Insert(cold, len(cold), nil)
+		lookup(src, cold)
+	}
+
+	cl.CrashShard(0, time.Second)
+	if err := cl.ReviveShard(0, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	dst := cfg.Caches[0]
+	if n := dst.Len(); n == 0 || n >= 41 {
+		t.Fatalf("revived cache holds %d prefixes, want the budget to drop some of 41", n)
+	}
+	if got := dst.MatchLen(hot); got != len(hot) {
+		t.Fatalf("hottest prefix matches %d of %d tokens after revival, want all", got, len(hot))
+	}
+}
+
 // TestRollingRestart pins rolling-restart under sustained load: every
 // shard is drained and rebuilt in sequence while traffic keeps flowing,
 // no request is lost, and the full serving set survives.

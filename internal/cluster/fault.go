@@ -3,8 +3,8 @@
 // a vclock.Clock); a FaultInjector applies them against the cluster as the
 // experiment clock advances. Recovery rebuilds a dead shard's
 // serving.Server warm: drafter weights restored from the spot
-// Checkpointer's latest checkpoint, prefix cache re-warmed from the
-// hottest retained prefixes on the survivors.
+// Checkpointer's latest checkpoint, prefix cache re-warmed by copying
+// the survivors' hottest prefixes into it (warmHandoff).
 package cluster
 
 import (
@@ -262,8 +262,9 @@ func (c *Cluster) CheckpointDrafter(ck *spot.Checkpointer, trainableBytes, froze
 // degraded (slow or hung) shard is restored in place. A dead shard is
 // rebuilt warm: a fresh serving.Server over the shared target, drafter
 // weights restored from the recorded checkpoint (when one exists), and
-// the shard's prefix cache wiped and re-warmed from the hottest retained
-// prefixes across the surviving shards.
+// the shard's prefix cache wiped and re-warmed with the surviving shards'
+// hottest prefixes, imported coldest first so that the hottest stay
+// resident if the copies overflow its budget.
 func (c *Cluster) ReviveShard(id int, now time.Duration) error {
 	sh := c.shards[id]
 	c.recordFault(id, FaultRevive, now, 0)
@@ -279,16 +280,10 @@ func (c *Cluster) ReviveShard(id int, now time.Duration) error {
 	sh.server().Crash()
 
 	if sh.cache != nil {
-		// Wipe state from before the crash, then warm-hand-off through the
-		// cache fabric (directory-driven selection of the cluster's hottest
-		// prefixes, hidden states included; survivor scan without a fabric)
-		// — the revived shard starts with a working set instead of a cold
-		// cache. The directory drops the dead incarnation's claims first so
-		// no entry dangles across the wipe.
+		// Wipe state from before the crash, then re-warm from the
+		// survivors' hottest prefixes (hidden states included): the revived
+		// shard starts with a working set instead of a cold cache.
 		sh.cache.Clear()
-		if c.fabric != nil {
-			c.fabric.InvalidateShard(sh.id)
-		}
 		c.warmHandoff(sh)
 	}
 	drafter, err := c.recoveredDrafter()

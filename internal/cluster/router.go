@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"sync/atomic"
-
-	"fastrl/internal/cachefabric"
-	"fastrl/internal/prefixcache"
-)
+import "sync/atomic"
 
 // Policy picks a shard for a request out of the live serving set. Pick is
 // the router hot path: implementations must not allocate and must be safe
@@ -105,132 +100,6 @@ func hashPrefix(prompt []int, n int) uint64 {
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return h
-}
-
-// CacheAware routes each request to the shard whose prefix cache already
-// covers the longest prefix of its prompt — the measurement-driven
-// successor to PrefixAffinity: instead of hashing a fixed-length prefix
-// blindly, it probes every live shard's cache (MatchLen, allocation-free)
-// and scores by expected matched-prefix length, i.e. by prefill work the
-// shard would actually skip. Ties break toward the lower-loaded shard, and
-// when no shard has any of the prompt cached the policy degrades to
-// least-loaded, so a cold cluster behaves exactly like NewLeastLoaded and
-// the first completion seeds the affinity that later picks exploit.
-type CacheAware struct {
-	caches []*prefixcache.Cache
-	ll     LeastLoaded
-	// LoadSlack bounds how much extra backlog the best-matching shard may
-	// carry over the least-loaded live shard before the pick reverts to
-	// least-loaded: prefix locality is worth a bounded queue, not a
-	// hotspot. Default 16 outstanding requests.
-	LoadSlack int
-}
-
-// NewCacheAware builds the policy over per-shard caches, indexed by shard
-// ID (caches[id] is shard id's cache; it must cover every shard the
-// cluster can route to). The caches are typically the same instances
-// passed to cluster Config.Caches.
-func NewCacheAware(caches []*prefixcache.Cache) *CacheAware {
-	return &CacheAware{caches: caches, LoadSlack: 16}
-}
-
-// Name implements Policy.
-func (p *CacheAware) Name() string { return "cache-aware" }
-
-// Pick implements Policy.
-func (p *CacheAware) Pick(prompt []int, live []int, loads []int) int {
-	best, bestMatch := -1, 0
-	minLoad := loads[0]
-	for _, l := range loads[1:] {
-		if l < minLoad {
-			minLoad = l
-		}
-	}
-	for i, id := range live {
-		m := 0
-		if id < len(p.caches) && p.caches[id] != nil {
-			m = p.caches[id].MatchLen(prompt)
-		}
-		if m > bestMatch || (m == bestMatch && best >= 0 && m > 0 && loads[i] < loads[best]) {
-			best, bestMatch = i, m
-		}
-	}
-	if best < 0 || loads[best]-minLoad > p.LoadSlack {
-		// Cold prompt, or the locality shard is already a hotspot: balance
-		// load instead (the miss re-seeds the prefix on the new shard).
-		return p.ll.Pick(prompt, live, loads)
-	}
-	return best
-}
-
-// FabricAware routes against the cluster cache fabric's prefix
-// directory instead of probing every shard's cache: one directory
-// lookup per request (rolling hash over the prompt, zero allocations)
-// returns the set of shards already holding the longest known prefix,
-// and the pick is the least-loaded live holder, rotating round-robin
-// among equally-loaded holders. Because the fabric replicates hot
-// prefixes to every shard, the holder set converges to the whole live
-// set for genuinely hot templates — so locality stops concentrating
-// load on whichever shard happened to warm up first, the failure mode
-// CacheAware's LoadSlack merely bounds. Unknown prompts fall back to
-// round-robin (seeding the prefix on a shard the next Sync registers),
-// and a holder hotspot beyond LoadSlack falls back the same way.
-type FabricAware struct {
-	fabric *cachefabric.Fabric
-	rr     RoundRobin
-	tie    atomic.Uint64
-	// LoadSlack bounds how much extra backlog a holder may carry over the
-	// least-loaded live shard before the pick reverts to round-robin.
-	// Default 16, matching CacheAware.
-	LoadSlack int
-}
-
-// NewFabricAware builds the policy over the cluster's fabric
-// (Cluster.Fabric after configuring cluster Config.Fabric).
-func NewFabricAware(f *cachefabric.Fabric) *FabricAware {
-	return &FabricAware{fabric: f, LoadSlack: 16}
-}
-
-// Name implements Policy.
-func (p *FabricAware) Name() string { return "fabric-aware" }
-
-// Pick implements Policy.
-func (p *FabricAware) Pick(prompt []int, live []int, loads []int) int {
-	holders, matched := p.fabric.Lookup(prompt)
-	if matched == 0 {
-		return p.rr.Pick(prompt, live, loads)
-	}
-	minHolder, minLive, ties := -1, loads[0], 0
-	for i, id := range live {
-		if loads[i] < minLive {
-			minLive = loads[i]
-		}
-		if id < 64 && holders&(1<<uint(id)) != 0 {
-			switch {
-			case minHolder < 0 || loads[i] < minHolder:
-				minHolder, ties = loads[i], 1
-			case loads[i] == minHolder:
-				ties++
-			}
-		}
-	}
-	if minHolder < 0 || minHolder-minLive > p.LoadSlack {
-		// No live holder, or every holder is a hotspot: balance load and
-		// let the miss re-seed the prefix where it lands.
-		return p.rr.Pick(prompt, live, loads)
-	}
-	// Rotate among the equally-least-loaded holders so replicated
-	// prefixes spread work instead of re-creating the warm-shard hotspot.
-	nth := int((p.tie.Add(1) - 1) % uint64(ties))
-	for i, id := range live {
-		if id < 64 && holders&(1<<uint(id)) != 0 && loads[i] == minHolder {
-			if nth == 0 {
-				return i
-			}
-			nth--
-		}
-	}
-	return p.rr.Pick(prompt, live, loads)
 }
 
 // rendezvousWeight mixes a prefix hash with a shard ID (splitmix64

@@ -105,13 +105,6 @@ func (s *Scaler) Observe(offered float64, now time.Duration) []coordinator.Actio
 			if st := s.coord.State(sh.id); st == coordinator.Idle || st == coordinator.Training {
 				actions = append(actions, s.coord.WorkerBusy(sh.id, now)...)
 				serving++
-				// Promotion goes through the same warm-handoff path as
-				// revival: the fabric copies the cluster's hottest prefixes
-				// in before the first routed request arrives. Without a
-				// fabric this is a no-op — an idle shard kept its cache.
-				if s.c.fabric != nil {
-					s.c.warmHandoff(sh)
-				}
 			}
 		}
 	case serving > target:

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"fastrl/internal/cachefabric"
 	"fastrl/internal/cluster"
 	"fastrl/internal/draft"
 	"fastrl/internal/gpu"
@@ -43,9 +42,9 @@ type cacheArm struct {
 // routing, hit rates, and saved prefill positions are deterministic under
 // fixed seeds (wall-clock latency percentiles are reported but, as with
 // -exp cluster, carry scheduler noise). The figure is the paper's prefill
-// amortisation argument made measurement-driven: blind prefix-affinity
-// hashing already concentrates templates per shard; cache-aware routing
-// scores shards by the prefill positions they would actually skip.
+// amortisation argument: prefix-affinity hashing pins each template to
+// one shard, whose cache then pays the template's prefill once, while
+// round-robin pays it once per shard.
 func runCache(opts Options) (*Result, error) {
 	seed := seedOr(opts, 33)
 	b := newBench(gpu.Qwen7B, seed, opts.Quick)
@@ -96,23 +95,10 @@ func runCache(opts Options) (*Result, error) {
 		promptPositions += int64(len(prompts[a.Task]))
 	}
 
-	type armSpec struct {
-		name   string
-		mk     func(caches []*prefixcache.Cache) cluster.Policy
-		fabric bool
-	}
-	specs := []armSpec{
-		{"round-robin", func([]*prefixcache.Cache) cluster.Policy { return cluster.NewRoundRobin() }, false},
-		{"prefix-affinity", func([]*prefixcache.Cache) cluster.Policy { return cluster.NewPrefixAffinity(8) }, false},
-		{"cache-aware", func(caches []*prefixcache.Cache) cluster.Policy { return cluster.NewCacheAware(caches) }, false},
-		// The fabric arm: nil policy resolves to fabric-aware routing over
-		// the cluster's prefix directory, and the replay drives FabricTick
-		// at window boundaries so hot prefixes replicate to every shard.
-		{"fabric", func([]*prefixcache.Cache) cluster.Policy { return nil }, true},
-	}
-	arms := make([]cacheArm, len(specs))
-	forEach(len(specs), func(i int) {
-		arms[i] = runCacheArm(b, specs[i].name, specs[i].mk, specs[i].fabric, prompts, arrivals, shards, maxNew, promptPositions)
+	policies := []cluster.Policy{cluster.NewRoundRobin(), cluster.NewPrefixAffinity(8)}
+	arms := make([]cacheArm, len(policies))
+	forEach(len(policies), func(i int) {
+		arms[i] = runCacheArm(b, policies[i], prompts, arrivals, shards, maxNew, promptPositions)
 	})
 
 	res := &Result{}
@@ -143,13 +129,14 @@ func runCache(opts Options) (*Result, error) {
 	}
 	res.Tables = append(res.Tables, tbl)
 
-	// Drafter warm-start: attach a fresh n-gram drafter to the cache-aware
-	// arm's surviving caches (the redeploy-over-surviving-state scenario).
-	// The replayed continuation statistics make it hot before any traffic.
+	// Drafter warm-start: attach a fresh n-gram drafter to the
+	// prefix-affinity arm's surviving caches (the
+	// redeploy-over-surviving-state scenario). The replayed continuation
+	// statistics make it hot before any traffic.
 	ng := draft.NewNGram(b.tk.VocabSize(), 1, 3)
 	var replayed int
 	for _, arm := range arms {
-		if arm.policy != "cache-aware" {
+		if arm.policy != "prefix-affinity" {
 			continue
 		}
 		for _, c := range arm.armCaches {
@@ -163,29 +150,18 @@ func runCache(opts Options) (*Result, error) {
 		fmt.Sprintf("trace: %d arrivals, %d templates x %d-token shared prefixes over %d tasks, %d shards, sequential replay",
 			len(arrivals), templates, templateLen, len(pool), shards),
 		"saved prefill% = prompt positions skipped via per-shard radix caches / total prompt positions; routing and savings are seed-deterministic (latency percentiles carry scheduler noise)",
-		"cache-aware routing probes every live shard's cache (MatchLen) and follows the longest resident prefix, falling back to least-loaded when cold; prefix-affinity hashes blindly and only converges template locality by accident of hashing",
-		fmt.Sprintf("warm-start: replaying the cache-aware arm's harvested continuation statistics seeded a fresh n-gram drafter with %d entries before any traffic", ng.Size()),
+		"prefix-affinity hashes each prompt's leading 8 tokens (inside its template) to one shard, so a template's requests share that shard's cache; round-robin spreads every template over every shard and pays its prefill once per shard",
+		fmt.Sprintf("warm-start: replaying the prefix-affinity arm's harvested continuation statistics seeded a fresh n-gram drafter with %d entries before any traffic", ng.Size()),
 	)
 	return res, nil
 }
 
-// fabricTickEvery is the fabric arm's replication cadence in trace
-// (virtual arrival) time: the replay calls FabricTick at these window
-// boundaries, and target shards ingest at their next step boundary.
-const fabricTickEvery = 50 * time.Millisecond
-
 // runCacheArm replays the trace sequentially through a fresh cluster with
-// per-shard caches under one policy. The fabric arm additionally builds
-// the cluster cache fabric (eviction journals on, directory sized to the
-// trace) and ticks it on a fixed virtual-time cadence.
-func runCacheArm(b *bench, name string, mkPolicy func([]*prefixcache.Cache) cluster.Policy, fabric bool,
+// per-shard caches under one policy.
+func runCacheArm(b *bench, policy cluster.Policy,
 	prompts [][]int, arrivals []workload.Arrival, shards, maxNew int, promptPositions int64) cacheArm {
-	arm := cacheArm{policy: name}
-	ccfg := prefixcache.Config{}
-	if fabric {
-		ccfg.JournalDepth = 256
-	}
-	caches := cluster.NewShardCaches(shards, ccfg)
+	arm := cacheArm{policy: policy.Name()}
+	caches := cluster.NewShardCaches(shards, prefixcache.Config{})
 	arm.armCaches = caches
 	ecfg := sched.DefaultConfig(gpu.NewDevice(gpu.H100, 1))
 	ecfg.SDThreshold = -1 // vanilla decode: the figure isolates prefill reuse
@@ -195,15 +171,8 @@ func runCacheArm(b *bench, name string, mkPolicy func([]*prefixcache.Cache) clus
 			Engine: ecfg, Replicas: 1, QueueDepth: 64,
 			AnswerID: b.tk.Answer(), EosID: b.tk.Eos(),
 		},
-		Policy: mkPolicy(caches),
+		Policy: policy,
 		Caches: caches,
-	}
-	if fabric {
-		// TopK large enough that every template and repeated task prompt
-		// replicates: savings then track the cache-aware arm while the
-		// holder rotation spreads the load the warm-shard concentration
-		// would otherwise pile onto one shard.
-		clcfg.Fabric = &cachefabric.Config{TopK: 128, MaxEntries: 4096}
 	}
 	cl, err := cluster.New(clcfg, b.target, nil)
 	if err != nil {
@@ -212,14 +181,7 @@ func runCacheArm(b *bench, name string, mkPolicy func([]*prefixcache.Cache) clus
 	}
 	defer cl.Stop()
 
-	nextTick := fabricTickEvery
 	for _, a := range arrivals {
-		if fabric {
-			for a.At >= nextTick {
-				cl.FabricTick()
-				nextTick += fabricTickEvery
-			}
-		}
 		_, err := cl.Serve(context.Background(), cluster.Request{
 			Prompt: prompts[a.Task],
 			MaxNew: maxNew,
@@ -248,7 +210,7 @@ func runCacheArm(b *bench, name string, mkPolicy func([]*prefixcache.Cache) clus
 	}
 	// Load-balance figure: max/mean served requests across shards. 1.0 is
 	// perfectly even; the shard count is the worst case (everything on one
-	// shard — the hotspot cache-affinity routing tends toward).
+	// shard — the hotspot affinity routing tends toward).
 	var maxServed, sumServed int
 	for _, sh := range arm.stats.Shards {
 		sumServed += sh.Served

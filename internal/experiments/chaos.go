@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"fastrl/internal/cachefabric"
 	"fastrl/internal/cluster"
 	"fastrl/internal/gpu"
 	"fastrl/internal/metrics"
@@ -43,8 +42,8 @@ type chaosArm struct {
 	// postmortems counts the flight-recorder captures the faults left.
 	postmortems int
 	// reviveWarmHits counts revived shards whose first templated request
-	// after the fabric warm handoff scored a prefill cache hit (the replay
-	// fails hard on any revive where it does not).
+	// after the survivor warm handoff scored a prefill cache hit (the
+	// replay fails hard on any revive where it does not).
 	reviveWarmHits int
 	err            error
 }
@@ -187,7 +186,7 @@ func runChaos(opts Options) (*Result, error) {
 		"availability, failovers, and the delivered-token checksum are seed-deterministic (the CI acceptance test replays the experiment and compares them exactly); latency tails carry wall time and are not",
 		"fault ttft p99.9 samples only requests submitted during fault windows; cluster ttft/latency p99.9 are exact bucket-wise histogram merges across shards",
 		"each shard runs an availability SLO (objective 99%, 500ms fast window): a fault torching the shard's inflight requests burns the budget and drops a KindSLOBreach marker into the same flight ring as the fault record — the replay fails hard if any crash/hang leaves no breach marker behind it",
-		"every prompt shares a 16-token template; revived shards rejoin through the cache fabric's warm handoff, and the replay fails hard unless each one's first templated request scores a prefill cache hit (revive_warm_hits counts the revives that passed)",
+		"every prompt shares a 16-token template; revived shards rejoin warm (their caches re-filled from the survivors' hottest prefixes), and the replay fails hard unless each one's first templated request scores a prefill cache hit (revive_warm_hits counts the revives that passed)",
 	)
 	return res, nil
 }
@@ -230,12 +229,11 @@ func runChaosArm(b *bench, failover bool, arrivals []workload.Arrival, plan clus
 	// private seed, which is what makes a failover replay bit-identical.
 	ecfg.Strategies = []specdec.Params{{DraftDepth: 6, TopK: 6, TokensToVerify: 24}}
 	ecfg.MAB.Thresholds = []int{1}
-	// Per-shard caches plus the cluster cache fabric: revives restore the
-	// hot templated prefix through the fabric's warm handoff instead of
-	// rejoining cold. Routing stays prefix-affinity — hashing past the
-	// shared template so tasks spread as before — keeping the kill set
-	// independent of cache state.
-	caches := cluster.NewShardCaches(cfg.shards, prefixcache.Config{JournalDepth: 128})
+	// Per-shard caches: revives restore the hot templated prefix from the
+	// survivors' caches instead of rejoining cold. Routing stays
+	// prefix-affinity — hashing past the shared template so tasks spread
+	// as before — keeping the kill set independent of cache state.
+	caches := cluster.NewShardCaches(cfg.shards, prefixcache.Config{})
 	cl, err := cluster.New(cluster.Config{
 		Shards: cfg.shards,
 		Shard: serving.Config{
@@ -244,7 +242,6 @@ func runChaosArm(b *bench, failover bool, arrivals []workload.Arrival, plan clus
 		},
 		Policy: cluster.NewPrefixAffinity(len(cfg.template) + 4),
 		Caches: caches,
-		Fabric: &cachefabric.Config{},
 		// Headroom for the burst plus failover resubmissions: chaos measures
 		// fault loss, not admission loss.
 		Admission: cluster.AdmissionConfig{MaxPending: 512},
@@ -358,9 +355,6 @@ func runChaosArm(b *bench, failover bool, arrivals []workload.Arrival, plan clus
 			}
 			ri++
 		}
-		// Fabric replication round at the window boundary: hot templated
-		// prefixes spread to every live shard in virtual time.
-		cl.FabricTick()
 		var due []cluster.FaultEvent
 		for fi < len(faults) && faults[fi].At < wEnd {
 			due = append(due, faults[fi])

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fastrl/internal/cachefabric"
-	"fastrl/internal/cluster"
 	"fastrl/internal/gpu"
 	"fastrl/internal/metrics"
 	"fastrl/internal/model"
@@ -217,31 +215,6 @@ func PerfSnapshot(quick bool) []PerfEntry {
 			for i := 0; i < n; i++ {
 				node, _ := cache.Lookup(prompt)
 				node.Release()
-			}
-		}))
-	}
-	{
-		// Fabric directory lookup: the cluster-routing hot path behind
-		// fabric-aware shard picks — a hash-probe walk over the prompt,
-		// pinned at 0 allocs/op like the other steady-state entries.
-		caches := cluster.NewShardCaches(8, prefixcache.Config{})
-		rng := rand.New(rand.NewSource(7))
-		fprompt := make([]int, 64)
-		for i := range fprompt {
-			fprompt[i] = rng.Intn(256)
-		}
-		for s, c := range caches {
-			c.Insert(fprompt[:8+2*s], 8+2*s, nil)
-			for i := 0; i < 2; i++ {
-				n, _ := c.Lookup(fprompt[:8+2*s])
-				n.Release()
-			}
-		}
-		fab := cachefabric.New(cachefabric.Config{}, caches)
-		fab.Sync()
-		entries = append(entries, mk("cluster/fabric-lookup", func(n int) {
-			for i := 0; i < n; i++ {
-				fab.Lookup(fprompt)
 			}
 		}))
 	}

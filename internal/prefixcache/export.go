@@ -1,8 +1,8 @@
-// Cache-fabric surface of the prefix cache: ranked hot-prefix stats,
-// self-contained subtree export/import (tokens + boundary hidden state),
-// and the versioned eviction journal the fabric polls so its directory
-// never dangles after a shard's LRU frees a node. None of this touches
-// the Lookup/MatchLen hot paths; everything here may allocate.
+// Cross-cache surface of the prefix cache: ranked hot-prefix stats and
+// self-contained prefix export/import (tokens + boundary hidden state),
+// which the cluster's warm handoff uses to re-warm a revived shard from
+// the survivors. None of this touches the Lookup/MatchLen hot paths;
+// everything here may allocate.
 package prefixcache
 
 import (
@@ -12,20 +12,18 @@ import (
 )
 
 // PrefixStat is one ranked entry from HotPrefixStats: a full token prefix
-// resident in the cache, how many Lookup walks terminated on it, and
-// whether it carries a hidden state (i.e. ends on a prompt boundary).
+// resident in the cache and how many Lookup walks terminated on it.
 type PrefixStat struct {
-	Tokens   []int
-	Hits     int64
-	Boundary bool
+	Tokens []int
+	Hits   int64
 }
 
 // HotPrefixStats returns up to k resident prefixes ranked by Lookup hit
 // count descending, ties broken by node-creation order (older first). The
 // order is a pure function of the operation history — no map iteration,
-// no timestamps — so fabric replication schedules built from it are
-// deterministic under a fixed seed. Each Tokens slice is freshly
-// allocated; the caller owns it.
+// no timestamps — so warm handoffs built from it are deterministic under
+// a fixed seed. Each Tokens slice is freshly allocated; the caller owns
+// it.
 func (c *Cache) HotPrefixStats(k int) []PrefixStat {
 	if k <= 0 {
 		return nil
@@ -47,30 +45,25 @@ func (c *Cache) HotPrefixStats(k int) []PrefixStat {
 	}
 	out := make([]PrefixStat, len(ranked))
 	for i, n := range ranked {
-		out[i] = PrefixStat{
-			Tokens:   n.AppendTokens(nil),
-			Hits:     n.hits,
-			Boundary: n.hidden.Load() != nil,
-		}
+		out[i] = PrefixStat{Tokens: n.AppendTokens(nil), Hits: n.hits}
 	}
 	return out
 }
 
 // ExportedPrefix is a self-contained copy of one cached prefix, fit to
-// ship across shards: the full token path, the hidden state at the
-// deepest prompt boundary on it (nil when none is resident), and the hit
-// count of the terminal node. Hidden is the cache's immutable state value
-// — Import copies it into the destination, so the export can be shared.
+// ship across shards: the full token path and the hidden state at the
+// deepest prompt boundary on it (nil when none is resident). Hidden is
+// the cache's immutable state value — Import copies it into the
+// destination, so the export can be shared.
 type ExportedPrefix struct {
 	Tokens    []int
-	Hits      int64
 	Hidden    *model.HiddenState
 	HiddenLen int
 }
 
-// Export snapshots the prefix at tokens for replication. It fails (ok
-// false) unless the full token run is resident — replicating a prefix the
-// source has partially evicted would ship a stale directory claim.
+// Export snapshots the prefix at tokens for copying into another cache.
+// It fails (ok false) unless the full token run is resident: the source
+// may have evicted part of it since its hot-prefix stats were taken.
 func (c *Cache) Export(tokens []int) (ExportedPrefix, bool) {
 	if len(tokens) == 0 {
 		return ExportedPrefix{}, false
@@ -83,7 +76,6 @@ func (c *Cache) Export(tokens []int) (ExportedPrefix, bool) {
 	}
 	ex := ExportedPrefix{
 		Tokens:    append([]int(nil), tokens...),
-		Hits:      n.hits,
 		HiddenLen: len(tokens),
 	}
 	for b := n; b != nil && b.parent != nil; b = b.parent {
@@ -98,56 +90,9 @@ func (c *Cache) Export(tokens []int) (ExportedPrefix, bool) {
 
 // Import installs an exported prefix: the path is created, a node
 // boundary is forced at HiddenLen, and the hidden state (if any) is
-// attached there — exactly an Insert of the replicated sequence, so all
+// attached there — exactly an Insert of the copied sequence, so all
 // budget/eviction/continuation accounting applies unchanged. Hit counts
 // do not transfer; they are per-shard access statistics.
 func (c *Cache) Import(p ExportedPrefix) *Node {
 	return c.Insert(p.Tokens, p.HiddenLen, p.Hidden)
-}
-
-// EvictionRecord is one journaled eviction: a monotonically increasing
-// sequence number and the full prefix of the removed node.
-type EvictionRecord struct {
-	Seq    uint64
-	Tokens []int
-}
-
-// EvictionSeq returns the sequence number of the most recent eviction (0
-// before any). It advances even when the journal is disabled.
-func (c *Cache) EvictionSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictSeq
-}
-
-// EvictionsSince returns every journaled eviction with Seq > since in
-// order, plus the new cursor and whether the range was complete. complete
-// is false when the journal has wrapped past `since` (or is disabled
-// entirely): the caller missed records and must treat its view of this
-// cache as stale — the fabric responds by marking the shard's directory
-// bits pending-invalidation and re-verifying them, never by assuming.
-func (c *Cache) EvictionsSince(since uint64) (recs []EvictionRecord, cursor uint64, complete bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cursor = c.evictSeq
-	if since >= c.evictSeq {
-		return nil, cursor, true
-	}
-	if c.journalCap == 0 {
-		return nil, cursor, false
-	}
-	oldest := uint64(1)
-	if c.evictSeq > c.journalCap {
-		oldest = c.evictSeq - c.journalCap + 1
-	}
-	complete = since+1 >= oldest
-	from := since + 1
-	if from < oldest {
-		from = oldest
-	}
-	recs = make([]EvictionRecord, 0, c.evictSeq-from+1)
-	for s := from; s <= c.evictSeq; s++ {
-		recs = append(recs, c.journal[(s-1)%c.journalCap])
-	}
-	return recs, cursor, complete
 }

@@ -7,11 +7,11 @@ import (
 	"fastrl/internal/model"
 )
 
-// TestHotPrefixesDeterministicTieBreak pins the fabric-facing ordering
+// TestHotPrefixesDeterministicTieBreak pins the hot-prefix ordering
 // contract: HotPrefixes ranks by Lookup hit count descending with
 // node-creation order breaking ties — never MRU recency, never map
 // order — so two caches fed the same operation sequence return the same
-// list and fabric replication built on it is seed-reproducible.
+// list and a warm handoff built on it is seed-reproducible.
 func TestHotPrefixesDeterministicTieBreak(t *testing.T) {
 	build := func() *Cache {
 		c := New(Config{})
@@ -47,7 +47,7 @@ func TestHotPrefixesDeterministicTieBreak(t *testing.T) {
 
 // TestExportImport round-trips a cached prefix — tokens, prompt-boundary
 // hidden state, boundary position — into a fresh cache, the mechanism
-// fabric replication and warm handoff are built on.
+// the warm handoff is built on.
 func TestExportImport(t *testing.T) {
 	src := New(Config{})
 	hid := &model.HiddenState{Sketch: []float32{1, 2, 3}, TopTokens: []int{7, 8}}
@@ -85,71 +85,5 @@ func TestExportImport(t *testing.T) {
 	// not reach the source (and vice versa).
 	if n.Hidden() == hid || n.Hidden() == ex.Hidden {
 		t.Fatal("import shares hidden storage with the exporter")
-	}
-}
-
-// TestEvictionJournal pins the versioned eviction-notification contract:
-// records carry monotonically increasing sequence numbers and the full
-// evicted prefix, EvictionsSince replays exactly the missed suffix, and
-// a consumer that falls behind a wrapped ring is told its view is
-// incomplete instead of being handed a silent gap.
-func TestEvictionJournal(t *testing.T) {
-	// A budget this small forces eviction on nearly every insert.
-	c := New(Config{BudgetBytes: 600, JournalDepth: 4})
-	for i := 0; i < 12; i++ {
-		c.Insert([]int{100 + i, 200 + i, 300 + i, 400 + i}, 4, nil)
-	}
-	total := c.EvictionSeq()
-	if total == 0 {
-		t.Fatal("budget pressure produced no evictions")
-	}
-
-	recs, cursor, complete := c.EvictionsSince(0)
-	if cursor != total {
-		t.Fatalf("cursor = %d, want %d", cursor, total)
-	}
-	if total > 4 && complete {
-		t.Fatal("wrapped journal claimed the range since 0 was complete")
-	}
-	want := total - 4
-	if total < 4 {
-		want = 0
-	}
-	for i, r := range recs {
-		if r.Seq != want+uint64(i)+1 {
-			t.Fatalf("record %d has seq %d, want %d", i, r.Seq, want+uint64(i)+1)
-		}
-		if len(r.Tokens) == 0 {
-			t.Fatalf("record %d has empty prefix", i)
-		}
-	}
-
-	// A caught-up consumer sees a complete (possibly empty) suffix.
-	if _, _, complete := c.EvictionsSince(cursor); !complete {
-		t.Fatal("caught-up consumer reported incomplete")
-	}
-	before := c.EvictionSeq()
-	c.Insert([]int{1, 2, 3, 4}, 4, nil)
-	recs, _, complete = c.EvictionsSince(before)
-	if !complete {
-		t.Fatal("one-step-behind consumer reported incomplete")
-	}
-	for _, r := range recs {
-		if r.Seq <= before {
-			t.Fatalf("replayed already-consumed seq %d (cursor %d)", r.Seq, before)
-		}
-	}
-
-	// Journal disabled: sequence still advances, reads are never complete
-	// once behind.
-	off := New(Config{BudgetBytes: 600})
-	for i := 0; i < 12; i++ {
-		off.Insert([]int{100 + i, 200 + i, 300 + i, 400 + i}, 4, nil)
-	}
-	if off.EvictionSeq() == 0 {
-		t.Fatal("disabled journal froze the eviction sequence")
-	}
-	if _, _, complete := off.EvictionsSince(0); complete {
-		t.Fatal("disabled journal claimed completeness for a stale reader")
 	}
 }

@@ -12,9 +12,8 @@
 //   - a freshly attached n-gram drafter can warm-start from the harvested
 //     continuation counts (WarmStart replays them through Observe), giving
 //     affinity-routed shards a hot drafter immediately;
-//   - the cluster router can score shards by expected matched-prefix
-//     length (MatchLen) and route measurement-driven instead of hashing
-//     blindly.
+//   - a shard revived after a crash re-warms from the survivors' hottest
+//     prefixes (HotPrefixStats, Export/Import) instead of starting cold.
 //
 // Residency is bounded by a byte budget with LRU eviction. Nodes are
 // reference-counted: a request that resumed decoding from a cached prefix
@@ -54,10 +53,6 @@ type Config struct {
 	// burst of in-flight requests can hold the cache over budget
 	// transiently). 0 means DefaultBudgetBytes; negative disables eviction.
 	BudgetBytes int64
-	// JournalDepth bounds the versioned eviction journal consumed by the
-	// cluster cache fabric (EvictionsSince). 0 disables the journal — the
-	// default, so a cache outside a fabric pays nothing for it.
-	JournalDepth int
 }
 
 // Cache is a shared, concurrency-safe radix prefix cache.
@@ -84,11 +79,6 @@ type Cache struct {
 	// nodeSeq numbers nodes in creation order; together with per-node hit
 	// counts it gives HotPrefixes a deterministic total order.
 	nodeSeq uint64
-	// evictSeq versions evictions; journal is a bounded ring of the most
-	// recent JournalDepth eviction records (nil when the journal is off).
-	evictSeq   uint64
-	journal    []EvictionRecord
-	journalCap uint64
 }
 
 // Node is one radix-tree node: the compressed token run from its parent,
@@ -134,10 +124,6 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		root:   &Node{children: make(map[int]*Node)},
 		budget: budget,
-	}
-	if cfg.JournalDepth > 0 {
-		c.journal = make([]EvictionRecord, cfg.JournalDepth)
-		c.journalCap = uint64(cfg.JournalDepth)
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
@@ -200,8 +186,8 @@ func (c *Cache) Lookup(tokens []int) (*Node, int) {
 
 // MatchLen returns the matched prefix length Lookup would report, without
 // retaining anything, touching the LRU order, or counting toward the
-// hit-rate accounting. It is the router probe: cache-aware routing calls
-// it once per live shard per request, so it must not allocate.
+// hit-rate accounting: a read-only residency probe, allocation-free like
+// Lookup.
 func (c *Cache) MatchLen(tokens []int) int {
 	c.mu.Lock()
 	n := c.walk(tokens, false)
@@ -420,16 +406,8 @@ func (c *Cache) evict() {
 }
 
 // remove unlinks a childless node from the tree, LRU order, and byte
-// accounting, journaling the eviction when a journal is configured.
-// Caller holds c.mu.
+// accounting. Caller holds c.mu.
 func (c *Cache) remove(n *Node) {
-	c.evictSeq++
-	if c.journalCap > 0 {
-		c.journal[(c.evictSeq-1)%c.journalCap] = EvictionRecord{
-			Seq:    c.evictSeq,
-			Tokens: n.AppendTokens(nil),
-		}
-	}
 	delete(n.parent.children, n.label[0])
 	c.lruUnlink(n)
 	c.nodes--
@@ -511,9 +489,9 @@ func (c *Cache) Stats() Stats {
 // the re-warm set a revived shard replays through Insert to come back hot
 // instead of cold. Ranking is by per-node Lookup hit count descending with
 // node-creation order breaking ties, so the order is a pure function of
-// the operation history: equal hit counts never reorder across runs and
-// fabric replication driven by this list is seed-reproducible. Each
-// returned slice is freshly allocated; the caller owns it.
+// the operation history: equal hit counts never reorder across runs, so
+// a warm handoff driven by this list is seed-reproducible. Each returned
+// slice is freshly allocated; the caller owns it.
 func (c *Cache) HotPrefixes(k int) [][]int {
 	stats := c.HotPrefixStats(k)
 	if stats == nil {

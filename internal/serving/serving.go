@@ -203,29 +203,7 @@ type Server struct {
 	cServed    *metrics.Counter
 	cCancelled *metrics.Counter
 	cErrored   *metrics.Counter
-	// Warm-ingest queue: cache-fabric replications enqueued here are
-	// applied to the shard's prefix cache by a replica at its next step
-	// boundary — never mid-step, same discipline as fault injection.
-	// warmPending keeps the step loop's check to one atomic load, so the
-	// path is free when no fabric feeds it.
-	warmMu      sync.Mutex
-	warmQ       []warmItem
-	warmPending atomic.Bool
-	cIngested   *metrics.Counter
-	cIngestDrop *metrics.Counter
 }
-
-// warmItem is one queued replication: the exported prefix plus the
-// fabric's confirmation callback, invoked after the import lands.
-type warmItem struct {
-	prefix    prefixcache.ExportedPrefix
-	onApplied func()
-}
-
-// warmQueueDepth bounds the warm-ingest queue; replications beyond it
-// are dropped (and counted) rather than growing without bound — the
-// fabric reschedules them on a later tick.
-const warmQueueDepth = 256
 
 // New builds a server. drafter may be nil (vanilla decoding).
 func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Server, error) {
@@ -272,8 +250,6 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Server, error) {
 	s.cServed = s.reg.Counter("served")
 	s.cCancelled = s.reg.Counter("cancelled")
 	s.cErrored = s.reg.Counter("errored")
-	s.cIngested = s.reg.Counter("fabric/ingested")
-	s.cIngestDrop = s.reg.Counter("fabric/ingest_dropped")
 	// Point-in-time probes: atomic loads and leaf locks only, as the
 	// registry's snapshot contract requires.
 	s.reg.Gauge("queue_len", func() float64 { return float64(s.QueueLen()) })
@@ -392,13 +368,6 @@ func (s *Server) replica(id int) {
 			default:
 				break drain
 			}
-		}
-		// Cache-fabric ingest, applied at step boundaries only (same
-		// contract as fault checkpoints): replicated prefixes land before
-		// the step, so a request admitted this iteration already prefills
-		// against them, and never mid-step.
-		if s.warmPending.Load() {
-			s.drainWarm(batch.Clock.Now())
 		}
 		// Fault checkpoints, evaluated at step boundaries only — a crash or
 		// hang never lands mid-step, so the scheduler's state stays exactly
@@ -590,56 +559,6 @@ func (s *Server) Replicas() int { return s.cfg.Replicas }
 
 // Cache returns the shard's prefix cache (nil when caching is disabled).
 func (s *Server) Cache() *prefixcache.Cache { return s.cfg.Cache }
-
-// EnqueueWarm queues one cache-fabric replication for ingest at the next
-// step boundary. It returns false — and the replication must be
-// considered dropped — when the shard has no cache, has crashed, or the
-// warm queue is full. onApplied (optional) runs on the replica goroutine
-// right after the prefix is imported.
-func (s *Server) EnqueueWarm(p prefixcache.ExportedPrefix, onApplied func()) bool {
-	if s.cfg.Cache == nil || s.crashed.Load() {
-		return false
-	}
-	s.warmMu.Lock()
-	if len(s.warmQ) >= warmQueueDepth {
-		s.warmMu.Unlock()
-		s.cIngestDrop.Inc()
-		return false
-	}
-	s.warmQ = append(s.warmQ, warmItem{prefix: p, onApplied: onApplied})
-	s.warmPending.Store(true)
-	s.warmMu.Unlock()
-	return true
-}
-
-// drainWarm applies every queued replication to the shard cache, records
-// a KindReplicate marker per import into the flight recorder, and fires
-// the confirmation callbacks. Called from a replica at a step boundary;
-// the queue swap keeps the lock off the import work.
-func (s *Server) drainWarm(now time.Duration) {
-	s.warmMu.Lock()
-	items := s.warmQ
-	s.warmQ = nil
-	s.warmPending.Store(false)
-	s.warmMu.Unlock()
-	for _, it := range items {
-		s.cfg.Cache.Import(it.prefix)
-		s.cIngested.Inc()
-		if s.cfg.Flight != nil {
-			s.cfg.Flight.Record(trace.Record{
-				ReqID: -1,
-				Shard: int32(s.cfg.ShardID),
-				Kind:  trace.KindReplicate,
-				Start: now,
-				End:   now,
-				Arg:   int64(len(it.prefix.Tokens)),
-			})
-		}
-		if it.onApplied != nil {
-			it.onApplied()
-		}
-	}
-}
 
 // CacheHitRate is the shard's prefill cache hit rate probe (0 without a
 // cache or before the first lookup).

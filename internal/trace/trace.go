@@ -94,11 +94,6 @@ const (
 	// once per burn-window slice while it persists, so postmortem rings
 	// captured during a fault window hold the marker.
 	KindSLOBreach
-	// KindReplicate marks a cache-fabric replication applied on a shard:
-	// a hot prefix exported elsewhere was ingested at a step boundary
-	// (recorded into the shard's flight recorder with ReqID = -1; Arg is
-	// the replicated prefix length).
-	KindReplicate
 
 	kindMax
 )
@@ -118,7 +113,6 @@ var kindNames = [kindMax]string{
 	KindFaultSlow:   "fault-slow",
 	KindFaultRevive: "fault-revive",
 	KindSLOBreach:   "slo-breach",
-	KindReplicate:   "replicate",
 }
 
 func (k Kind) String() string {
