@@ -95,7 +95,6 @@ func main() {
 		reqs = append(reqs, sched.NewRequest(i, task.Prompt, *maxNew, prior, tk.Answer(), tk.Eos()))
 	}
 	stats := eng.Run(reqs, rng, 0)
-	eng.Close()
 
 	if err := profileio.WriteCSV(os.Stdout, stats.Profile); err != nil {
 		fmt.Fprintln(os.Stderr, "tltprofile:", err)

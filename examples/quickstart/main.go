@@ -52,8 +52,8 @@ func main() {
 	// Inspect the trained policy with the batched scoring API: one
 	// ProbsBatch pass over several prompt contexts (engine-owned scratch,
 	// no per-row allocation churn) emits rows bit-identical to sequential
-	// Probs calls — the same entry the speculation engine verifies trees
-	// through.
+	// Probs calls — the per-position scoring the speculation engine
+	// verifies trees with.
 	tasks := sys.Tasks.SampleSeeded(4, 1)
 	ctxs := make([]model.Context, len(tasks))
 	rows := make([][]float32, len(tasks))
@@ -83,7 +83,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer batch.Close() // a batch you drop, you Close: it stops the SD pipeline workers
 	arrivals := sys.Tasks.SampleSeeded(4, 7)
 	next, stepRng := 0, rand.New(rand.NewSource(11))
 	for step := 0; batch.ActiveCount() > 0 || next < len(arrivals); step++ {

@@ -414,7 +414,6 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 		}
 		wrng := rand.New(rand.NewSource(s.Cfg.Seed ^ int64(s.step)<<20 ^ int64(w)))
 		rs := eng.Run(perWorker[w], wrng, 0)
-		eng.Close()
 		finishes[w] = rs.Elapsed
 		stats.Profiles = append(stats.Profiles, rs.Profile)
 		if rs.AcceptRounds > 0 {

@@ -51,9 +51,9 @@ func TestSystemStepAllKinds(t *testing.T) {
 	}
 }
 
-// TestStepDoesNotLeakGoroutines pins that every worker's rollout batch is
-// closed when its run ends: at GOMAXPROCS 2 the batches run pipelined SD
-// rounds, whose stage workers would otherwise outlive each step.
+// TestStepDoesNotLeakGoroutines pins that an RL step leaves no goroutine
+// behind at GOMAXPROCS 2: the rollout batches it drops need no shutdown,
+// so nothing started by a step may outlive it.
 func TestStepDoesNotLeakGoroutines(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })

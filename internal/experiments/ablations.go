@@ -39,7 +39,6 @@ func ablRollout(b *bench, mutate func(*sched.Config), nReqs, maxNew int, seed in
 	if err != nil {
 		panic(err)
 	}
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(seed))
 	sampler := workload.DefaultLengthSampler(maxNew)
 	var reqs []*sched.Request

@@ -254,7 +254,6 @@ func replayBatchingArm(b *bench, arrivals []workload.Arrival, maxNew int, arm *b
 	if err != nil {
 		return err
 	}
-	defer batch.Close()
 	rng := newRand(0x62617463) // shared fallback; every request has its own
 
 	// TTFT SLO over the replay: burn rate is sampled at fixed virtual

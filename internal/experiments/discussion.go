@@ -34,7 +34,6 @@ func discRun(b *bench, threshold int, tool sched.ToolProfile, kvBudget float64, 
 	if err != nil {
 		panic(err)
 	}
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(seed))
 	var reqs []*sched.Request
 	for i, task := range b.gen.SampleSeeded(nReqs, seed) {

@@ -77,7 +77,6 @@ func (b *bench) steadyState(dev *gpu.Device, dr draft.Drafter, batch, iters, thr
 	if err != nil {
 		panic(err)
 	}
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(b.seed ^ 0x77))
 	var reqs []*sched.Request
 	for i, task := range b.gen.SampleSeeded(batch, b.seed^0x5151) {

@@ -130,7 +130,6 @@ func runFig14(opts Options) (*Result, error) {
 		if err != nil {
 			panic(err)
 		}
-		defer eng.Close()
 		rng := rand.New(rand.NewSource(seedOr(opts, 14) ^ 0x140))
 		var reqs []*sched.Request
 		for i, task := range b.gen.SampleSeeded(nReqs, seedOr(opts, 14)^0x141) {

@@ -58,8 +58,9 @@ func TestProbsBatchZeroAllocs(t *testing.T) {
 }
 
 // TestProbsBatchMatchesProbs: one batched pass must emit bit-identical
-// rows to sequential Probs calls — the invariant that lets batched tree
-// verification replace per-node calls without touching losslessness.
+// rows to sequential Probs calls — the invariant that lets tree
+// verification score positions one at a time or all at once without
+// touching losslessness.
 func TestProbsBatchMatchesProbs(t *testing.T) {
 	m := newAllocLM(t)
 	rng := rand.New(rand.NewSource(7))

@@ -84,11 +84,9 @@ func (m *LM) ProbsScratch(ctx Context, bias map[int]float32, temp float64, dst [
 	m.scoreInto(ctx.Tokens, ctx.PromptHash(), ids, bias, temp, dst, logits)
 }
 
-// ProbsBatch scores many contexts in one call, the batched analogue of the
-// tree-verification forward pass: the bias id ordering is computed once,
-// all rows share one scratch, and consecutive contexts with the same
-// prompt prefix (the common case — every node of a speculation tree
-// extends one prompt) share the prompt hash. dst[i] receives the
+// ProbsBatch scores many contexts in one call: the bias id ordering is
+// computed once, all rows share one scratch, and consecutive contexts
+// with the same prompt prefix share the prompt hash. dst[i] receives the
 // distribution for ctxs[i]; every row must have length Vocab. Rows are
 // scored with code identical to Probs, so one batched pass emits exactly
 // the same float32 values as len(ctxs) sequential Probs calls.
@@ -122,8 +120,8 @@ func (m *LM) ProbsBatch(ctxs []Context, bias map[int]float32, temp float64, dst 
 }
 
 // RowGroup describes one run of consecutive ProbsBatchGrouped rows that
-// share a logit bias — in practice, the verification rows of one sequence
-// in a multi-sequence speculation step. Per-sequence sampling parameters
+// share a logit bias — in practice, one sequence's row in a
+// multi-sequence vanilla decode step. Per-sequence sampling parameters
 // (the workload length prior) apply row-block-wise, exactly as a serving
 // engine applies per-request logit processors to its slice of a batched
 // forward's logits.
@@ -139,7 +137,7 @@ type RowGroup struct {
 // group g's bias applies to its g.N consecutive rows. Rows funnel through
 // the same scoreInto as Probs/ProbsScratch/ProbsBatch, so one grouped
 // pass emits exactly the float32 values of per-group ProbsBatch calls —
-// the property that lets the batched cross-request verification pass of
+// the property that lets the batched cross-request decode step of
 // continuous batching stay bit-identical to per-request scoring.
 //
 // A nil sc borrows a pooled scratch, keeping the call allocation-free in
@@ -183,8 +181,8 @@ func (m *LM) ProbsBatchGrouped(ctxs []Context, groups []RowGroup, temp float64, 
 }
 
 // samePrompt reports whether two prompt prefixes are identical, sharing
-// the fast path when they alias the same slice. Tree-verification rows
-// live in per-node arena segments, so pointer identity alone would never
+// the fast path when they alias the same slice. Rows whose contexts live
+// in separate buffers never alias, so pointer identity alone would not
 // fire there; an element compare is cheaper than re-hashing (prompts are
 // short — the hash is over the prompt only, never the full context).
 func samePrompt(a, b []int) bool {

@@ -38,7 +38,7 @@ func benchStep(b *testing.B, n int, sd bool) {
 
 // BenchmarkBatchStep is the canonical continuous-batching iteration: 8
 // inflight sequences advanced one speculation round by the scheduler
-// through a single grouped batched verification pass. It is snapshotted
+// through one specdec.StepBatch call. It is snapshotted
 // as the sched/batch-step-8 hot-path entry in BENCH_<date>.json.
 func BenchmarkBatchStep(b *testing.B) { benchStep(b, 8, true) }
 

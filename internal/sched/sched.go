@@ -2,9 +2,10 @@
 // continuous batching (Orca/vLLM-style): a Batch of inflight sequences
 // that new requests join and finished requests leave at *step* boundaries
 // rather than batch-of-requests boundaries. One Step decodes every
-// eligible sequence — scoring all of their speculation trees through a
-// single engine-owned model.Scratch + batched target pass — and charges
-// the simulated device exactly one iteration's cost.
+// eligible sequence through one engine-owned speculation engine and
+// charges the simulated device exactly one iteration's cost (for a
+// speculative step, one batched verification forward over every
+// sequence's tree).
 //
 // The scheduler is the single request-lifecycle implementation shared by
 // the trainer and the serving layer. Batch.Run is the Adaptive Rollout
@@ -458,13 +459,6 @@ func (b *Batch) Run(reqs []*Request, rng *rand.Rand, maxIters int) Stats {
 	b.Reset()
 	return stats
 }
-
-// Close stops the speculation engine's pipeline workers
-// (specdec.Engine.Close). A batch that ran a pipelined SD round keeps two
-// parked goroutines, and through them itself, alive until it is closed,
-// so whoever drops a batch must Close it. Close is idempotent and, like
-// every Batch method, runs on the batch-owning goroutine.
-func (b *Batch) Close() { b.spec.Close() }
 
 // Retire returns the requests that finished since the last call, in the
 // order they completed, and clears the internal buffer. The returned
@@ -1062,9 +1056,10 @@ func (b *Batch) vanillaStep(active []*Request, rng *rand.Rand) StepProfile {
 	return StepProfile{End: end, Running: len(active), Mode: ModeVanilla, TokensOut: len(active)}
 }
 
-// sdStep performs one speculative round for every active request: every
-// request's tree drafts against the same drafter snapshot and all trees
-// verify through one grouped batched target pass (specdec.StepBatch).
+// sdStep performs one speculative round for every active request through
+// specdec.StepBatch: every request's tree drafts against the same drafter
+// snapshot and is verified in request order, and the cost model charges
+// one batched verification forward over every tree's kept nodes.
 // Online-learning drafters observe the new tokens after the batch round,
 // as a real batched drafter forward would.
 func (b *Batch) sdStep(active []*Request, rng *rand.Rand) StepProfile {

@@ -296,9 +296,6 @@ func (s *Server) replica(id int) {
 		}
 		return
 	}
-	// The replica owns its batch until it exits, on every path (drain,
-	// crash); closing it stops the batch's pipeline workers.
-	defer batch.Close()
 	// Shared fallback stream for Batch.Step; never drawn from, since every
 	// admitted request carries its own seeded RNG.
 	rng := rand.New(rand.NewSource(0x5eed ^ int64(id)))

@@ -8,10 +8,11 @@ import (
 // TestStepBatchMatchesStep pins the packing property of the
 // multi-sequence round: StepBatch over N sequences with per-sequence RNGs
 // must emit, for every sequence, exactly the tokens an independent
-// 1-sequence Step emits with the same seed — rows packed across requests
-// score bit-identically to per-request scoring, and verification draws
-// only from the owning sequence's stream. Biases and EOS ids differ per
-// sequence to exercise the grouped scoring path.
+// 1-sequence Step emits with the same seed — drafting one sequence never
+// disturbs another's verification, and verification draws only from the
+// owning sequence's stream. Biases and EOS ids differ per sequence, and
+// each sequence is carried through three rounds on the same engines, so
+// per-slot scratch is reused across rounds of different shapes.
 func TestStepBatchMatchesStep(t *testing.T) {
 	lm, e, tk := newSetup(t)
 	metaRng := rand.New(rand.NewSource(71))
@@ -51,24 +52,36 @@ func TestStepBatchMatchesStep(t *testing.T) {
 
 		batched := &Engine{Target: lm, Temp: temp}
 		out := make([]Result, n)
-		batched.StepBatch(e, seqs, p, rngs, out)
+		solos := make([]*Engine, n)
+		soloToks := make([][]int, n)
+		soloRngs := make([]*rand.Rand, n)
+		for i := range solos {
+			solos[i] = &Engine{Target: lm, Temp: temp, Bias: seqs[i].Bias, EosID: seqs[i].EosID}
+			soloToks[i] = append([]int(nil), seqs[i].Tokens...)
+			soloRngs[i] = rand.New(rand.NewSource(seeds[i]))
+		}
 
-		for i := 0; i < n; i++ {
-			solo := &Engine{Target: lm, Temp: temp, Bias: seqs[i].Bias, EosID: seqs[i].EosID}
-			want := solo.Step(e, seqs[i].Tokens, seqs[i].PromptLen, p, rand.New(rand.NewSource(seeds[i])))
-			if len(out[i].Tokens) != len(want.Tokens) {
-				t.Fatalf("trial %d seq %d/%d (%+v temp=%.2f): batched %v vs solo %v",
-					trial, i, n, p, temp, out[i].Tokens, want.Tokens)
-			}
-			for j := range want.Tokens {
-				if out[i].Tokens[j] != want.Tokens[j] {
-					t.Fatalf("trial %d seq %d: token %d differs: %v vs %v",
-						trial, i, j, out[i].Tokens, want.Tokens)
+		for round := 0; round < 3; round++ {
+			batched.StepBatch(e, seqs, p, rngs, out)
+			for i := 0; i < n; i++ {
+				want := solos[i].Step(e, soloToks[i], seqs[i].PromptLen, p, soloRngs[i])
+				if len(out[i].Tokens) != len(want.Tokens) {
+					t.Fatalf("trial %d round %d seq %d/%d (%+v temp=%.2f): batched %v vs solo %v",
+						trial, round, i, n, p, temp, out[i].Tokens, want.Tokens)
 				}
-			}
-			if out[i].AcceptLen != want.AcceptLen || out[i].Eos != want.Eos ||
-				out[i].DraftedNodes != want.DraftedNodes || out[i].VerifiedTokens != want.VerifiedTokens {
-				t.Fatalf("trial %d seq %d: metadata diverged: %+v vs %+v", trial, i, out[i], want)
+				for j := range want.Tokens {
+					if out[i].Tokens[j] != want.Tokens[j] {
+						t.Fatalf("trial %d round %d seq %d: token %d differs: %v vs %v",
+							trial, round, i, j, out[i].Tokens, want.Tokens)
+					}
+				}
+				if out[i].AcceptLen != want.AcceptLen || out[i].Eos != want.Eos ||
+					out[i].DraftedNodes != want.DraftedNodes || out[i].VerifiedTokens != want.VerifiedTokens {
+					t.Fatalf("trial %d round %d seq %d: metadata diverged: %+v vs %+v", trial, round, i, out[i], want)
+				}
+				// Result.Tokens aliases engine scratch, so append copies.
+				seqs[i].Tokens = append(seqs[i].Tokens, out[i].Tokens...)
+				soloToks[i] = append(soloToks[i], want.Tokens...)
 			}
 		}
 	}
@@ -76,8 +89,8 @@ func TestStepBatchMatchesStep(t *testing.T) {
 
 // TestStepBatchSharedRNGMatchesSequentialSteps pins the trainer-side
 // contract: StepBatch with one shared RNG in every slot reproduces the
-// draw order of sequential per-sequence Step calls exactly (drafting and
-// scoring consume no randomness, verification walks sequences in order).
+// draw order of sequential per-sequence Step calls exactly (drafting
+// consumes no randomness, verification walks sequences in order).
 func TestStepBatchSharedRNGMatchesSequentialSteps(t *testing.T) {
 	lm, e, tk := newSetup(t)
 	metaRng := rand.New(rand.NewSource(73))
@@ -152,9 +165,9 @@ func TestVanillaStepBatchMatchesVanillaStep(t *testing.T) {
 }
 
 // TestStepBatchZeroSteadyStateAllocs pins the allocation-free contract of
-// the multi-sequence hot path: once per-slot trees and the packed row
-// arena have grown to the batch's high-water mark, a steady-state
-// StepBatch round allocates nothing.
+// the multi-sequence hot path: once per-slot trees have grown to the
+// batch's high-water mark, a steady-state StepBatch round allocates
+// nothing.
 func TestStepBatchZeroSteadyStateAllocs(t *testing.T) {
 	lm, e, tk := newSetup(t)
 	rng := rand.New(rand.NewSource(64))

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkSpecRound is the canonical steady-state speculation round
-// (tree drafting + one batched verification pass). Pre-batching baseline
-// (same strategy, per-node Probs calls and per-round allocation):
-// 106215 ns/op, 69204 B/op, 266 allocs/op on the reference machine.
+// BenchmarkSpecRound is the canonical steady-state speculation round:
+// tree drafting plus lazy verification, which scores only the positions
+// the walk visits.
 func BenchmarkSpecRound(b *testing.B) {
 	lm, e, tk := newSetup(b)
 	eng := &Engine{Target: lm, Temp: 0.9, EosID: -1}
@@ -20,22 +19,6 @@ func BenchmarkSpecRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Step(e, prompt, len(prompt), p, rng)
-	}
-}
-
-// BenchmarkSpecRoundSequential measures the retained pre-batch reference
-// verification over the identical tree, isolating the batching effect.
-func BenchmarkSpecRoundSequential(b *testing.B) {
-	lm, e, tk := newSetup(b)
-	eng := &Engine{Target: lm, Temp: 0.9, EosID: -1}
-	p := Params{DraftDepth: 6, TopK: 6, TokensToVerify: 24}
-	rng := rand.New(rand.NewSource(1))
-	prompt := testPrompt(tk, rng)
-	eng.StepSequential(e, prompt, len(prompt), p, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.StepSequential(e, prompt, len(prompt), p, rng)
 	}
 }
 

@@ -3,6 +3,9 @@ package specdec
 import (
 	"math/rand"
 	"testing"
+
+	"fastrl/internal/draft"
+	"fastrl/internal/model"
 )
 
 // TestStepStructuralInvariants drives random strategies through the
@@ -148,12 +151,53 @@ func TestVerifyNodeMarginalProperty(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesSequential: batched tree verification (one ProbsBatch
-// pass over all selected nodes up front) must be token-for-token identical
-// to the pre-batch sequential path (one target call per visited position)
-// under fixed seeds, across random strategies, prompts, temperatures and
-// biases — the losslessness-preserving property the batched hot path is
-// allowed to exist under. Two engines are used so each keeps its own
+// stepEager is the eager reference for lazy verification: it drafts the
+// tree Step drafts, scores the root position and every kept node in one
+// ProbsBatch pass, and then walks the tree over those rows.
+func stepEager(e *Engine, d draft.Drafter, tokens []int, promptLen int, p Params, rng *rand.Rand) Result {
+	t := e.scratchInit().treesFor(1)[0]
+	var res Result
+	e.draftTreeInto(t, d, tokens, promptLen, e.Bias, clampParams(p), &res)
+
+	ctxs := []model.Context{{Tokens: tokens, PromptLen: promptLen}}
+	rowOf := map[int]int{}
+	for _, ni := range t.keep {
+		buf := make([]int, len(tokens), len(tokens)+t.nodes[ni].depth)
+		copy(buf, tokens)
+		rowOf[ni] = len(ctxs)
+		ctxs = append(ctxs, model.Context{Tokens: pathContext(t.nodes, ni, buf), PromptLen: promptLen})
+	}
+	rows := make([][]float32, len(ctxs))
+	for i := range rows {
+		rows[i] = make([]float32, e.Target.Config().Vocab)
+	}
+	e.Target.ProbsBatch(ctxs, e.Bias, e.Temp, rows, nil)
+
+	row, candidates := rows[0], t.roots
+	for {
+		chosen, corrective := verifyNode(row, t.nodes, candidates, rng)
+		if chosen < 0 {
+			res.Tokens = append(res.Tokens, corrective)
+			res.Eos = e.EosID >= 0 && corrective == e.EosID
+			return res
+		}
+		tok := t.nodes[chosen].tok
+		res.Tokens = append(res.Tokens, tok)
+		res.AcceptLen++
+		if e.EosID >= 0 && tok == e.EosID {
+			res.Eos = true
+			return res
+		}
+		row, candidates = rows[rowOf[chosen]], t.childrenOf(chosen)
+	}
+}
+
+// TestBatchedMatchesSequential: lazy verification (Step, one target call
+// per visited position) must be token-for-token identical to eager
+// verification (stepEager, one ProbsBatch pass over the root and every
+// kept node up front) under fixed seeds, across random strategies,
+// prompts, temperatures and biases — skipping the rows the walk never
+// reads must change nothing. Two engines are used so each keeps its own
 // scratch; their RNGs start from the same seed each trial.
 func TestBatchedMatchesSequential(t *testing.T) {
 	lm, e, tk := newSetup(t)
@@ -178,34 +222,34 @@ func TestBatchedMatchesSequential(t *testing.T) {
 		prompt := testPrompt(tk, metaRng)
 		seed := metaRng.Int63()
 
-		batched := &Engine{Target: lm, Temp: temp, Bias: bias, EosID: tk.Eos()}
-		sequential := &Engine{Target: lm, Temp: temp, Bias: bias, EosID: tk.Eos()}
+		lazy := &Engine{Target: lm, Temp: temp, Bias: bias, EosID: tk.Eos()}
+		eager := &Engine{Target: lm, Temp: temp, Bias: bias, EosID: tk.Eos()}
 		// Multi-round: carry each path's own sequence forward so any
 		// divergence compounds and is caught.
-		bSeq := append([]int(nil), prompt...)
-		sSeq := append([]int(nil), prompt...)
-		bRng := rand.New(rand.NewSource(seed))
-		sRng := rand.New(rand.NewSource(seed))
+		lSeq := append([]int(nil), prompt...)
+		eSeq := append([]int(nil), prompt...)
+		lRng := rand.New(rand.NewSource(seed))
+		eRng := rand.New(rand.NewSource(seed))
 		for round := 0; round < 4; round++ {
-			br := batched.Step(e, bSeq, len(prompt), p, bRng)
-			sr := sequential.StepSequential(e, sSeq, len(prompt), p, sRng)
-			if len(br.Tokens) != len(sr.Tokens) {
-				t.Fatalf("trial %d round %d (%+v temp=%.2f): batched %v vs sequential %v",
-					trial, round, p, temp, br.Tokens, sr.Tokens)
+			lr := lazy.Step(e, lSeq, len(prompt), p, lRng)
+			er := stepEager(eager, e, eSeq, len(prompt), p, eRng)
+			if len(lr.Tokens) != len(er.Tokens) {
+				t.Fatalf("trial %d round %d (%+v temp=%.2f): lazy %v vs eager %v",
+					trial, round, p, temp, lr.Tokens, er.Tokens)
 			}
-			for i := range br.Tokens {
-				if br.Tokens[i] != sr.Tokens[i] {
+			for i := range lr.Tokens {
+				if lr.Tokens[i] != er.Tokens[i] {
 					t.Fatalf("trial %d round %d (%+v temp=%.2f): token %d differs: %v vs %v",
-						trial, round, p, temp, i, br.Tokens, sr.Tokens)
+						trial, round, p, temp, i, lr.Tokens, er.Tokens)
 				}
 			}
-			if br.AcceptLen != sr.AcceptLen || br.Eos != sr.Eos ||
-				br.DraftedNodes != sr.DraftedNodes || br.VerifiedTokens != sr.VerifiedTokens {
-				t.Fatalf("trial %d round %d: result metadata diverged: %+v vs %+v", trial, round, br, sr)
+			if lr.AcceptLen != er.AcceptLen || lr.Eos != er.Eos ||
+				lr.DraftedNodes != er.DraftedNodes || lr.VerifiedTokens != er.VerifiedTokens {
+				t.Fatalf("trial %d round %d: result metadata diverged: %+v vs %+v", trial, round, lr, er)
 			}
-			bSeq = append(bSeq, br.Tokens...)
-			sSeq = append(sSeq, sr.Tokens...)
-			if br.Eos {
+			lSeq = append(lSeq, lr.Tokens...)
+			eSeq = append(eSeq, er.Tokens...)
+			if lr.Eos {
 				break
 			}
 		}

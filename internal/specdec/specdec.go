@@ -19,45 +19,30 @@
 // The speculation round is the hottest path in the system: an Engine owns
 // reusable scratch (draft/verify buffers, per-sequence tree arenas,
 // frontier and context slices) so a steady-state round allocates nothing.
-// StepBatch is the primary entry: it drafts one tree per sequence and
-// scores every kept node of every tree in a single model.ProbsBatchGrouped
-// pass — the iteration-level scheduler packs all decoding requests of one
-// step through it. Step is the 1-sequence case. StepSequential retains the
-// per-position reference path; property tests assert all paths emit
-// identical token streams for identical seeds.
+// StepBatch is the primary entry — the iteration-level scheduler packs all
+// decoding requests of one step through it — and Step is its 1-sequence
+// case. For each sequence in turn, StepBatch drafts a tree and verifies it.
 //
-// # Software-pipelined rounds
+// # Lazy verification
 //
-// With more than one CPU available (GOMAXPROCS > 1) and at least two
-// sequences in a batched round, StepBatch software-pipelines the round:
-// while the caller's goroutine drafts sequence i+1's tree, a scoring
-// worker runs sequence i's batched target pass and a verification worker
-// walks the already-scored trees — the double-buffered-load shape of a
-// pipelined GPU kernel, applied to the three stages of a speculation
-// round. The overlap is race-free by construction:
+// Chain-rule verification reads only a few target rows: the root
+// position, each accepted node, and the position where the walk rejects
+// or samples its bonus token. The host scores exactly those rows, one
+// target call when the walk reaches a position. The simulated GPU still
+// scores the whole kept tree in one batched forward, and
+// Result.VerifiedTokens charges that full pass, so virtual time is that of
+// a real batched verifier. Every scoring entry of the target funnels
+// through the same row code, and a row does not depend on its batch-mates,
+// so a lazily scored row is bit-identical to the row a whole-tree pass
+// computes; an eager reference in the tests pins this.
 //
-//   - Drafting touches only the drafter, the engine's draft-side scratch
-//     (one model.Scratch, the frontier/top-k buffers), and the tree being
-//     drafted. It never touches the target rows.
-//   - Scoring owns the second model.Scratch (the double buffer) and
-//     writes only into the handed-off tree's private context arena and
-//     row arena. The target LM is read-only under scoring (all mutation
-//     funnels through the caller-owned model.Scratch), so it is shared
-//     safely with the drafting stage's root-hidden-state computation.
-//   - Verification consumes randomness — so the verify worker processes
-//     trees strictly in sequence order, drawing from rngs[i] exactly as
-//     the serial loop does. Draw order, and therefore every emitted
-//     token, is bit-identical to the serial path (which in turn matches
-//     per-request sequential stepping; the equivalence tests pin all
-//     three). Each stage hands its tree to the next over a channel, so
-//     every cross-stage access is ordered by a happens-before edge.
-//
-// Any future drafter must preserve the first invariant: Probs/ProbsBuf
-// may read and mutate only drafter-owned state plus the scratch passed
-// in, never the target model or engine verification state, and drafting
-// must stay deterministic (consume no randomness). Break either and the
-// overlap stops being race-free/bit-identical; the pipelined equivalence
-// tests (and the -race CI job) are the tripwire.
+// StepBatch ≡ Step rests on one drafter invariant: Probs/ProbsBuf may
+// read and mutate only drafter-owned state plus the scratch passed in,
+// never the target model or verification state, and drafting consumes no
+// randomness. Verification in turn never touches drafter state. Drafting
+// sequence i+1 after verifying sequence i therefore drafts the same tree
+// a separate Step would, and rngs[i] is drawn from in exactly the order
+// per-request Step calls draw. Any future drafter must preserve this.
 package specdec
 
 import (
@@ -99,9 +84,9 @@ type Seq struct {
 // Result summarises one speculation round for one sequence.
 //
 // Tokens and FrontierPerDepth alias engine-owned per-sequence scratch:
-// they are valid until the next Step/StepBatch/StepSequential/VanillaStep
-// call on the same Engine. Callers that retain them across rounds must
-// copy (appending into their own slice, as the scheduler does, is a copy).
+// they are valid until the next Step/StepBatch/VanillaStep call on the
+// same Engine. Callers that retain them across rounds must copy
+// (appending into their own slice, as the scheduler does, is a copy).
 type Result struct {
 	// Tokens are the tokens appended to the sequence: zero or more
 	// accepted drafted tokens plus exactly one token sampled from the
@@ -116,8 +101,9 @@ type Result struct {
 	// FrontierPerDepth records the tree frontier width at each drafting
 	// depth, for drafting cost accounting.
 	FrontierPerDepth []int
-	// VerifiedTokens is the number of tree nodes the target scored in the
-	// verification pass.
+	// VerifiedTokens is the number of tree positions (the kept nodes plus
+	// the root) the simulated GPU scores in its batched verification
+	// forward. The host scores only the positions the walk visits.
 	VerifiedTokens int
 	// Eos reports whether an end-of-sequence token was emitted.
 	Eos bool
@@ -132,7 +118,7 @@ type Engine struct {
 	// Temp is the sampling temperature (0 = greedy).
 	Temp float64
 	// Bias and EosID are the single-sequence sampling controls consumed by
-	// Step/StepSequential/VanillaStep; StepBatch takes them per Seq.
+	// Step/VanillaStep; StepBatch takes them per Seq.
 	Bias  map[int]float32
 	EosID int
 
@@ -158,10 +144,10 @@ type node struct {
 	qProb    float64 // draft probability of this token at its parent
 }
 
-// tree is one sequence's speculation tree, retained between the batched
-// drafting and verification stages. Every slice grows to its sequence
-// slot's high-water mark and is then reused, so steady-state rounds
-// perform zero heap allocations.
+// tree is one sequence's speculation tree, drafted and then walked by
+// verification. Every slice grows to its sequence slot's high-water mark
+// and is then reused, so steady-state rounds perform zero heap
+// allocations.
 type tree struct {
 	nodes            []node
 	frontierPerDepth []int
@@ -176,38 +162,19 @@ type tree struct {
 	childCount []int
 	childArena []int
 
-	// Batched verification: one context per kept node (+1 for the root
-	// position) materialised into the per-tree arena; rowBase is the
-	// tree's first row in the engine's shared row set and rowOf maps a
-	// kept node index to its row offset from rowBase.
-	ctxArena []int
-	rowOf    []int
-	rowBase  int
-
-	// Pipelined scoring buffers: the pipelined path scores each tree in
-	// its own grouped pass the moment drafting hands it off, so the
-	// contexts, rows and row arena live on the tree (stage-private)
-	// instead of the engine's shared arenas. Row values are bit-identical
-	// either way — scoring zeroes each row before accumulation, so rows
-	// are independent of their batch-mates.
-	ctxs     []model.Context
-	rows     [][]float32
-	rowArena []float32
-	group1   [1]model.RowGroup
-
 	accepted []int // emitted tokens (aliased by Result.Tokens)
 }
 
 // scratch is the engine's reusable working set shared across the
 // sequences of a batched round: transient compute buffers plus the
-// per-sequence-slot trees and the packed scoring arenas.
+// per-sequence-slot trees and the vanilla step's packed scoring arenas.
 type scratch struct {
 	msc    *model.Scratch
 	hidden model.HiddenState // drafting-root hidden state
 	deep   model.HiddenState // rank-free view for deeper draft indices
 
 	qBuf []float32 // draft proposal distribution
-	pBuf []float32 // target row (sequential verification, vanilla step)
+	pBuf []float32 // target row at the position verification visits
 
 	frontier, next []int
 	topk           []int
@@ -223,18 +190,13 @@ type scratch struct {
 	// batched call; slots persist so their arenas amortise).
 	trees []*tree
 
-	// Packed scoring across all trees of one batched round: one context
-	// and one probability row per kept node (+1 per tree for the root
-	// position), one RowGroup per sequence, scored in a single
-	// ProbsBatchGrouped pass.
+	// Packed scoring for VanillaStepBatch: one context, probability row
+	// and RowGroup per sequence, scored in a single ProbsBatchGrouped
+	// pass.
 	ctxs     []model.Context
 	groups   []model.RowGroup
 	rows     [][]float32
 	rowArena []float32
-
-	// pipeline is the engine's software pipeline for batched rounds,
-	// created lazily the first time a round qualifies for overlap.
-	pipeline *pipe
 }
 
 func (e *Engine) scratchInit() *scratch {
@@ -267,13 +229,6 @@ func ensureInt(b []int, n int) []int {
 	return b[:n]
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // growthSlack is the per-sequence headroom (in tokens) reserved on top of
 // exact need when a growth-coupled scratch buffer reallocates: sequences
 // lengthen every round, so exact-fit growth would allocate once per round
@@ -296,15 +251,14 @@ func clampParams(p Params) Params {
 
 // StepBatch performs one draft-and-verify round for every sequence under
 // one strategy — the iteration-level unit of continuous batching, where
-// the scheduler packs all decoding requests of a step into a single
-// batched verification forward.
+// the scheduler packs all decoding requests of a step into one batched
+// verification forward of the simulated GPU.
 //
-// Drafting runs per sequence against the drafter's current state (one
-// batched draft pass per step, as a real batched drafter forward would),
-// then every kept node of every tree is scored in one
-// model.ProbsBatchGrouped call with per-sequence bias groups, and finally
-// each tree is verified in sequence order drawing from rngs[i]. Because
-// drafting and scoring consume no randomness, a shared rng in every slot
+// Sequences run in order: sequence i's tree is drafted against the
+// drafter's current state (one batched draft pass per step, as a real
+// batched drafter forward would) and then verified, drawing from rngs[i]
+// and scoring only the positions the walk visits (see the package doc).
+// Because drafting consumes no randomness, a shared rng in every slot
 // reproduces the draw order of sequential per-request Step calls exactly,
 // and per-sequence rngs make each sequence's stream independent of batch
 // composition (frozen drafters) — the property the scheduler's
@@ -320,19 +274,11 @@ func (e *Engine) StepBatch(d draft.Drafter, seqs []Seq, p Params, rngs []*rand.R
 		return
 	}
 	p = clampParams(p)
-	sc := e.scratchInit()
-	trees := sc.treesFor(len(seqs))
-	if e.usePipeline(len(seqs)) {
-		e.stepBatchPipelined(d, seqs, p, rngs, out, trees)
-		return
-	}
+	trees := e.scratchInit().treesFor(len(seqs))
 	for i := range seqs {
 		out[i] = Result{}
 		e.draftTreeInto(trees[i], d, seqs[i].Tokens, seqs[i].PromptLen, seqs[i].Bias, p, &out[i])
-	}
-	e.scoreTrees(seqs, trees)
-	for i := range seqs {
-		e.verifyTree(trees[i], seqs[i].EosID, rngs[i], &out[i])
+		e.verifyTree(trees[i], seqs[i], rngs[i], &out[i])
 	}
 }
 
@@ -347,25 +293,9 @@ func (e *Engine) Step(d draft.Drafter, tokens []int, promptLen int, p Params, rn
 	return e.out1[0]
 }
 
-// StepSequential is the pre-batching reference path: it drafts the
-// identical tree but scores tree positions with one sequential target call
-// each, lazily along the accepted path. It is retained as the baseline
-// that property tests compare batched verification against (identical
-// seeds must emit identical token streams) and as a benchmark reference.
-func (e *Engine) StepSequential(d draft.Drafter, tokens []int, promptLen int, p Params, rng *rand.Rand) Result {
-	p = clampParams(p)
-	sc := e.scratchInit()
-	t := sc.treesFor(1)[0]
-	var res Result
-	e.draftTreeInto(t, d, tokens, promptLen, e.Bias, p, &res)
-	e.verifySequential(t, &res, tokens, promptLen, rng)
-	return res
-}
-
 // draftTreeInto runs the drafting stage and ancestry-closed candidate
-// selection for one sequence into its tree. Both verification paths
-// consume the tree it leaves behind, so they are guaranteed to see
-// identical candidates.
+// selection for one sequence into its tree, which verification then
+// walks.
 func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, tokens []int, promptLen int, bias map[int]float32, p Params, res *Result) {
 	sc := e.sc
 	vocab := e.Target.Config().Vocab
@@ -393,7 +323,7 @@ func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, tokens []int, promptLen
 		t.frontierPerDepth = append(t.frontierPerDepth, len(sc.frontier))
 		sc.next = sc.next[:0]
 		for _, pi := range sc.frontier {
-			ctx := e.pathContext(tokens, t.nodes, pi, t.seqBuf[:len(tokens)])
+			ctx := pathContext(t.nodes, pi, t.seqBuf[:len(tokens)])
 			// Drafting state: at the root the drafter sees the target's
 			// hidden state exactly; deeper nodes draft in the rank-free
 			// mode the drafter was trained for via rank dropout (the root
@@ -449,7 +379,9 @@ func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, tokens []int, promptLen
 	// nodes, closed under ancestry so every kept node's parent is kept.
 	keep := sc.selectKeptInto(t, p.TokensToVerify)
 	t.buildAdjacency(keep)
-	res.VerifiedTokens = len(keep) + 1 // +1: the root position is scored too
+	// The simulated GPU scores every kept node plus the root position in
+	// one batched forward, whichever rows the walk ends up reading.
+	res.VerifiedTokens = len(keep) + 1
 }
 
 // buildAdjacency packs the kept nodes' child lists into one arena,
@@ -490,174 +422,35 @@ func (t *tree) childrenOf(ni int) []int {
 	return t.childArena[s : s+t.childCount[ni]]
 }
 
-// scoreTrees materialises the context of the root position and of every
-// kept node of every tree, and scores them all in one grouped batched
-// target pass — the single verification forward the virtual-clock cost
-// model charges per step, now shared across every sequence of the batch
-// instead of one pass per request. Each sequence's rows form one RowGroup
-// carrying its logit bias, so the packed pass emits bit-identical rows to
-// per-sequence scoring.
-func (e *Engine) scoreTrees(seqs []Seq, trees []*tree) {
+// verifyTree walks one drafted tree with chain-rule rejection sampling,
+// drawing from rng. It scores a position only when the walk reaches it:
+// the root, each accepted node, and the position where the walk rejects
+// or, below the deepest accepted node (whose child list is empty), samples
+// the bonus token. Accepted tokens extend the verified prefix in
+// t.seqBuf, whose capacity covers DraftDepth+2 more tokens.
+func (e *Engine) verifyTree(t *tree, seq Seq, rng *rand.Rand, res *Result) {
 	sc := e.sc
-	vocab := e.Target.Config().Vocab
-
-	total := 0
-	for _, t := range trees {
-		t.rowBase = total
-		total += len(t.keep) + 1
-	}
-	sc.rowArena = ensureF32(sc.rowArena, total*vocab)
-	sc.rows = sc.rows[:0]
-	for r := 0; r < total; r++ {
-		sc.rows = append(sc.rows, sc.rowArena[r*vocab:(r+1)*vocab])
-	}
-
-	sc.ctxs = sc.ctxs[:0]
-	sc.groups = sc.groups[:0]
-	for i, t := range trees {
-		sc.ctxs = buildScoreCtxs(t, seqs[i], sc.ctxs)
-		sc.groups = append(sc.groups, model.RowGroup{N: len(t.keep) + 1, Bias: seqs[i].Bias})
-	}
-
-	e.Target.ProbsBatchGrouped(sc.ctxs, sc.groups, e.Temp, sc.rows, sc.msc)
-}
-
-// buildScoreCtxs appends the root-position context and one context per
-// kept node of the tree to dst (filling t.rowOf with each node's row
-// offset from the tree's first row) and returns the extended slice. Both
-// scoring paths — the serial whole-batch pass and the pipelined per-tree
-// pass — materialise their contexts through this one function, so they
-// score identical inputs.
-func buildScoreCtxs(t *tree, seq Seq, dst []model.Context) []model.Context {
-	tokens := seq.Tokens
-	promptLen := seq.PromptLen
-	L := len(tokens)
-	arenaNeed := 0
-	for _, ni := range t.keep {
-		arenaNeed += L + t.nodes[ni].depth
-	}
-	// Context lengths grow with the sequence every round; headroom
-	// keeps the arena from reallocating once per round (see seqBuf).
-	if cap(t.ctxArena) < arenaNeed {
-		t.ctxArena = make([]int, arenaNeed+growthSlack*(len(t.keep)+1))
-	}
-	t.ctxArena = t.ctxArena[:arenaNeed]
-	dst = append(dst, model.Context{Tokens: t.seqBuf[:L], PromptLen: promptLen})
-	t.rowOf = ensureInt(t.rowOf, len(t.nodes))
-	off := 0
-	for j, ni := range t.keep {
-		end := off + L + t.nodes[ni].depth
-		seg := t.ctxArena[off:end]
-		copy(seg, tokens)
-		for k := ni; k >= 0; k = t.nodes[k].parent {
-			seg[L+t.nodes[k].depth-1] = t.nodes[k].tok
-		}
-		dst = append(dst, model.Context{Tokens: seg, PromptLen: promptLen})
-		t.rowOf[ni] = j + 1
-		off = end
-	}
-	return dst
-}
-
-// scoreTreeInto scores one tree's kept nodes in a single grouped pass
-// into the tree's private row arena — the pipelined path's scoring
-// stage, running on the scoring worker with the engine's second
-// model.Scratch. scoreInto zeroes each row before accumulating, so
-// per-tree passes emit exactly the float32 values the whole-batch pass
-// produces for the same tree.
-func (e *Engine) scoreTreeInto(t *tree, seq Seq, msc *model.Scratch) {
-	vocab := e.Target.Config().Vocab
-	total := len(t.keep) + 1
-	t.rowArena = ensureF32(t.rowArena, total*vocab)
-	t.rows = t.rows[:0]
-	for r := 0; r < total; r++ {
-		t.rows = append(t.rows, t.rowArena[r*vocab:(r+1)*vocab])
-	}
-	t.ctxs = buildScoreCtxs(t, seq, t.ctxs[:0])
-	t.group1[0] = model.RowGroup{N: total, Bias: seq.Bias}
-	e.Target.ProbsBatchGrouped(t.ctxs, t.group1[:], e.Temp, t.rows, msc)
-	t.rowBase = 0
-}
-
-// verifyTree walks one selected tree performing chain-rule rejection
-// sampling against its pre-scored rows in the engine's shared row set.
-// It draws from the RNG in exactly the order verifySequential does, so
-// both paths emit identical tokens for identical seeds.
-func (e *Engine) verifyTree(t *tree, eosID int, rng *rand.Rand, res *Result) {
-	sc := e.sc
-	e.verifyTreeRows(t, sc.rows[t.rowBase:], &sc.sorted, eosID, rng, res)
-}
-
-// verifyTreeRows is the verification walk over an explicit row set
-// (rows[0] is the root position, rows[t.rowOf[n]] node n's position) and
-// caller-owned sort scratch — shared by the serial path (engine rows,
-// engine scratch) and the pipelined path (tree-private rows, the verify
-// worker's scratch).
-func (e *Engine) verifyTreeRows(t *tree, rows [][]float32, sortBuf *[]int, eosID int, rng *rand.Rand, res *Result) {
+	sc.pBuf = ensureF32(sc.pBuf, e.Target.Config().Vocab)
 	t.accepted = t.accepted[:0]
-	candidates := t.roots
-	row := rows[0]
-	for {
-		chosen, corrective := verifyNodeBuf(row, t.nodes, candidates, sortBuf, rng)
-		if chosen < 0 {
-			t.accepted = append(t.accepted, corrective)
-			res.Eos = eosID >= 0 && corrective == eosID
-			break
-		}
-		t.accepted = append(t.accepted, t.nodes[chosen].tok)
-		res.AcceptLen++
-		if eosID >= 0 && t.nodes[chosen].tok == eosID {
-			res.Eos = true
-			break
-		}
-		row = rows[t.rowOf[chosen]]
-		candidates = t.childrenOf(chosen)
-		if len(candidates) == 0 {
-			// Deepest accepted node: sample the bonus token from the
-			// (already scored) target distribution at the new context.
-			bonus := model.SampleProbs(row, rng)
-			t.accepted = append(t.accepted, bonus)
-			res.Eos = eosID >= 0 && bonus == eosID
-			break
-		}
-	}
-	res.Tokens = t.accepted
-}
-
-// verifySequential is the reference verification: one target call per
-// visited tree position, computed lazily along the accepted path.
-func (e *Engine) verifySequential(t *tree, res *Result, tokens []int, promptLen int, rng *rand.Rand) {
-	sc := e.sc
-	vocab := e.Target.Config().Vocab
-	sc.pBuf = ensureF32(sc.pBuf, vocab)
-	t.accepted = t.accepted[:0]
-	ctx := t.seqBuf[:len(tokens)]
+	ctx := t.seqBuf[:len(seq.Tokens)]
 	candidates := t.roots
 	for {
-		e.Target.ProbsScratch(model.Context{Tokens: ctx, PromptLen: promptLen}, e.Bias, e.Temp, sc.pBuf, sc.msc)
+		e.Target.ProbsScratch(model.Context{Tokens: ctx, PromptLen: seq.PromptLen}, seq.Bias, e.Temp, sc.pBuf, sc.msc)
 		chosen, corrective := verifyNodeBuf(sc.pBuf, t.nodes, candidates, &sc.sorted, rng)
 		if chosen < 0 {
 			t.accepted = append(t.accepted, corrective)
-			res.Eos = e.EosID >= 0 && corrective == e.EosID
+			res.Eos = seq.EosID >= 0 && corrective == seq.EosID
 			break
 		}
-		t.accepted = append(t.accepted, t.nodes[chosen].tok)
-		ctx = append(ctx, t.nodes[chosen].tok)
+		tok := t.nodes[chosen].tok
+		t.accepted = append(t.accepted, tok)
 		res.AcceptLen++
-		if e.EosID >= 0 && t.nodes[chosen].tok == e.EosID {
+		if seq.EosID >= 0 && tok == seq.EosID {
 			res.Eos = true
 			break
 		}
+		ctx = append(ctx, tok)
 		candidates = t.childrenOf(chosen)
-		if len(candidates) == 0 {
-			// Deepest accepted node: sample the bonus token from the
-			// target distribution at the new context.
-			e.Target.ProbsScratch(model.Context{Tokens: ctx, PromptLen: promptLen}, e.Bias, e.Temp, sc.pBuf, sc.msc)
-			bonus := model.SampleProbs(sc.pBuf, rng)
-			t.accepted = append(t.accepted, bonus)
-			res.Eos = e.EosID >= 0 && bonus == e.EosID
-			break
-		}
 	}
 	res.Tokens = t.accepted
 }
@@ -701,28 +494,24 @@ func (e *Engine) draftTemp() float64 {
 	return e.Temp
 }
 
-// pathContext reconstructs the token context for a node by walking to the
-// root. buf must contain the verified prefix.
-func (e *Engine) pathContext(tokens []int, nodes []node, ni int, buf []int) []int {
+// pathContext returns the context node ni drafts from: buf, the verified
+// prefix, followed by every token on the path from the root to ni. The
+// path tokens are written by depth into buf's spare capacity, so the
+// context is complete at any depth.
+func pathContext(nodes []node, ni int, buf []int) []int {
 	if ni < 0 {
 		return buf
 	}
-	var rev [64]int
-	n := 0
-	for i := ni; i >= 0 && n < len(rev); i = nodes[i].parent {
-		rev[n] = nodes[i].tok
-		n++
-	}
-	ctx := buf
-	for i := n - 1; i >= 0; i-- {
-		ctx = append(ctx, rev[i])
+	ctx := buf[:len(buf)+nodes[ni].depth]
+	for k := ni; k >= 0; k = nodes[k].parent {
+		ctx[len(buf)+nodes[k].depth-1] = nodes[k].tok
 	}
 	return ctx
 }
 
 // sortByPathProb orders node indices by descending path probability with
 // an ascending-index tie-break — a deterministic total order, so every
-// caller (and both verification paths) builds the identical tree.
+// caller builds the identical tree.
 // Insertion sort: the slices are small (at most the beam width or node
 // count) and this avoids the interface boxing of sort.Slice.
 func sortByPathProb(idx []int, nodes []node) {

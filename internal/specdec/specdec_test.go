@@ -318,3 +318,53 @@ func TestDefaultsClamped(t *testing.T) {
 		t.Fatal("clamped step produced no tokens")
 	}
 }
+
+// pathDrafter proposes exactly one token per call, a fixed function of
+// the context length, and records every context it drafts from.
+type pathDrafter struct {
+	vocab int
+	ctxs  [][]int
+}
+
+func (d *pathDrafter) tokenAt(pos int) int { return pos % d.vocab }
+
+func (d *pathDrafter) Name() string   { return "path" }
+func (d *pathDrafter) Arch() gpu.Arch { return gpu.Arch{} }
+
+func (d *pathDrafter) Probs(tokens []int, _ int, _ *model.HiddenState, _ float64, dst []float32) {
+	d.ctxs = append(d.ctxs, append([]int(nil), tokens...))
+	for i := range dst {
+		dst[i] = 0
+	}
+	dst[d.tokenAt(len(tokens))] = 1
+}
+
+// TestDeepDraftSeesWholePath pins that every tree node drafts from its
+// whole context — the verified prefix followed by each token on its path
+// from the root — however deep the node sits.
+func TestDeepDraftSeesWholePath(t *testing.T) {
+	lm, _, tk := newSetup(t)
+	prompt := testPrompt(tk, rand.New(rand.NewSource(18)))
+	d := &pathDrafter{vocab: tk.VocabSize()}
+	eng := &Engine{Target: lm, Temp: 0.9, EosID: -1}
+	p := Params{DraftDepth: 80, TopK: 1, TokensToVerify: 80}
+	eng.Step(d, prompt, len(prompt), p, rand.New(rand.NewSource(19)))
+	if len(d.ctxs) != p.DraftDepth {
+		t.Fatalf("drafter called %d times, want one call per depth (%d)", len(d.ctxs), p.DraftDepth)
+	}
+	for i, ctx := range d.ctxs {
+		depth := i + 1
+		if want := len(prompt) + depth - 1; len(ctx) != want {
+			t.Fatalf("depth %d drafts from %d tokens, want %d", depth, len(ctx), want)
+		}
+		for pos, tok := range ctx {
+			want := d.tokenAt(pos)
+			if pos < len(prompt) {
+				want = prompt[pos]
+			}
+			if tok != want {
+				t.Fatalf("depth %d: context token %d is %d, want %d", depth, pos, tok, want)
+			}
+		}
+	}
+}
