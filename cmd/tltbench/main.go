@@ -91,7 +91,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced workload sizes")
 		seed      = flag.Int64("seed", 0, "override experiment seed (0 = default)")
 		list      = flag.Bool("list", false, "list available experiments")
-		verbose   = flag.Bool("v", false, "verbose progress")
+		verbose   = flag.Bool("v", false, "print each experiment's wall-clock completion time")
 		jsonOut   = flag.Bool("json", false, "write a BENCH_<date>.json perf snapshot (ns/op and allocs/op per figure/table plus hot-path micro-benchmarks)")
 		jsonPath  = flag.String("json-out", "", "write the perf snapshot to this path instead of BENCH_<date>.json (implies -json; lets CI diff against a committed baseline from the same date without clobbering it)")
 		traceFile = flag.String("trace", "", "enable request-lifecycle tracing and write the Chrome trace_event export to this file (load in chrome://tracing or Perfetto); the export is parsed back and validated before exit")
@@ -112,7 +112,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Quick: *quick, Seed: *seed, Verbose: *verbose, Trace: *traceFile != ""}
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Trace: *traceFile != ""}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()

@@ -10,7 +10,7 @@
 //
 // The request surface is streaming-first: Cluster.Stream routes a
 // streaming session to a shard and propagates cancellation back to it;
-// Submit and Serve are thin wrappers that drain one.
+// Serve is a thin wrapper that drains one.
 package cluster
 
 import (
@@ -30,7 +30,6 @@ import (
 	"fastrl/internal/prefixcache"
 	"fastrl/internal/serving"
 	"fastrl/internal/slo"
-	"fastrl/internal/spot"
 	"fastrl/internal/trace"
 	"fastrl/internal/workload"
 )
@@ -51,7 +50,7 @@ type Request struct {
 
 // Response is a served completion plus which shard served it. Error
 // reporting follows serving.Response: Serve's (and Stream.Wait's) error
-// return is authoritative, Err exists for the channel path (Submit).
+// return is authoritative.
 type Response struct {
 	serving.Response
 	Shard int
@@ -184,12 +183,9 @@ type Cluster struct {
 	cFailovers *metrics.Counter
 	cDup       *metrics.Counter
 
-	// failMu guards the failover-session registry and the recorded drafter
-	// checkpoint.
+	// failMu guards the failover-session registry.
 	failMu   sync.Mutex
 	sessions map[*foSession]int
-	ckpt     *spot.Checkpointer
-	ckptPath string
 
 	// pmMu guards the bounded postmortem log (see capturePostmortem).
 	pmMu        sync.Mutex
@@ -440,9 +436,9 @@ type Stream struct {
 }
 
 // Stream routes a request, applies the routed shard's admission control,
-// and returns its streaming session — the primary request path (Submit
-// and Serve are wrappers over it). A shed request fails with *ErrShedded;
-// every admitted request is guaranteed exactly one terminal event.
+// and returns its streaming session — the primary request path (Serve is
+// a wrapper over it). A shed request fails with *ErrShedded; every
+// admitted request is guaranteed exactly one terminal event.
 func (c *Cluster) Stream(ctx context.Context, req Request) (*Stream, error) {
 	if c.cfg.Failover.Enabled {
 		fo := &foSession{c: c, ctx: ctx, req: req}
@@ -532,24 +528,6 @@ func (st *Stream) Cancel() {
 		return
 	}
 	st.inner.Cancel()
-}
-
-// Submit routes a request and returns a channel delivering its response —
-// a wrapper that drains a Stream. A shed request fails with *ErrShedded;
-// every admitted request is guaranteed a response on the returned channel
-// (Response.Err is the failure signal on this path).
-func (c *Cluster) Submit(ctx context.Context, req Request) (<-chan Response, error) {
-	st, err := c.Stream(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan Response, 1)
-	// Goroutine-free delivery: this hook is registered after the
-	// accounting hook, so by the time the buffered send publishes the
-	// response the admission slot is already released.
-	shard := st.Shard
-	st.inner.OnFinish(func(r serving.Response) { out <- Response{Response: r, Shard: shard} })
-	return out, nil
 }
 
 // Serve submits and waits — a wrapper that drains a Stream. The returned
@@ -733,8 +711,8 @@ type Stats struct {
 	// CacheSavedPositions sums prefill positions skipped via the per-shard
 	// prefix caches (0 without caches).
 	CacheSavedPositions int64
-	// TrainingSessions and Preemptions summarise the scaler's coordinator
-	// log.
+	// TrainingSessions and Preemptions count the training sessions the
+	// scaler's coordinator started and the trainings it preempted.
 	TrainingSessions int
 	Preemptions      int
 }

@@ -100,19 +100,6 @@ func TestClusterRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestSubmitAfterStop(t *testing.T) {
-	target, e, tk, gen := clusterSetup(t)
-	cl, err := New(clusterConfig(tk, 2, 1), target, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Stop()
-	cl.Stop() // idempotent
-	if _, err := cl.Submit(context.Background(), Request{Prompt: gen.Pool()[0].Prompt, MaxNew: 8}); err == nil {
-		t.Fatal("expected error after stop")
-	}
-}
-
 // TestClusterDeterministic pins the acceptance criterion that cluster
 // serving output is deterministic under fixed seeds: the same arrival
 // trace replayed through a fresh cluster (greedy decoding, affinity
@@ -278,18 +265,18 @@ func TestDeadlineShedding(t *testing.T) {
 		}
 	}
 	// Stack a backlog without waiting.
-	var chans []<-chan Response
+	var streams []*Stream
 	for i := 0; i < 8; i++ {
-		ch, err := cl.Submit(context.Background(), Request{
+		st, err := cl.Stream(context.Background(), Request{
 			Prompt: gen.Pool()[i%len(gen.Pool())].Prompt, MaxNew: 48, Seed: int64(i),
 		})
 		if err != nil {
 			t.Fatalf("backlog submit %d: %v", i, err)
 		}
-		chans = append(chans, ch)
+		streams = append(streams, st)
 	}
 	// A request with a nanosecond budget cannot wait behind that backlog.
-	_, err = cl.Submit(context.Background(), Request{
+	_, err = cl.Stream(context.Background(), Request{
 		Prompt: gen.Pool()[0].Prompt, MaxNew: 48, Deadline: time.Nanosecond,
 	})
 	var shed *ErrShedded
@@ -299,8 +286,8 @@ func TestDeadlineShedding(t *testing.T) {
 	if shed.RetryAfter <= 0 || shed.Pending == 0 {
 		t.Fatalf("shed hint not populated: %+v", shed)
 	}
-	for _, ch := range chans {
-		<-ch
+	for _, st := range streams {
+		st.Wait()
 	}
 	if st := cl.Stats(); st.Shed != 1 || st.ShedRate <= 0 {
 		t.Fatalf("shed accounting: shed=%d rate=%v", st.Shed, st.ShedRate)

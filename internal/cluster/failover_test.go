@@ -2,19 +2,15 @@ package cluster
 
 import (
 	"context"
-	"math/rand"
-	"os"
 	"sync"
 	"testing"
 	"time"
 
-	"fastrl/internal/coordinator"
 	"fastrl/internal/gpu"
 	"fastrl/internal/prefixcache"
 	"fastrl/internal/sched"
 	"fastrl/internal/serving"
 	"fastrl/internal/specdec"
-	"fastrl/internal/spot"
 	"fastrl/internal/tokenizer"
 )
 
@@ -255,9 +251,8 @@ func TestStopIdempotent(t *testing.T) {
 }
 
 // TestWarmRecovery pins dead-shard revival: the rebuilt shard comes back
-// with drafter weights restored from the spot checkpoint and a prefix
-// cache re-warmed from the survivors' hottest prefixes, and rejoins the
-// serving set.
+// with a prefix cache re-warmed from the survivors' hottest prefixes, and
+// rejoins the serving set.
 func TestWarmRecovery(t *testing.T) {
 	target, e, tk, gen := clusterSetup(t)
 	cfg := failoverConfig(tk, 2, 1)
@@ -267,19 +262,6 @@ func TestWarmRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Stop()
-
-	dir, err := os.MkdirTemp("", "ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	ck := spot.NewCheckpointer(dir, spot.SelectiveAsync)
-	if _, err := cl.CheckpointDrafter(ck, 1<<20, 4<<20); err != nil {
-		t.Fatal(err)
-	}
-	// Nudge the live drafter after the checkpoint so restore-from-ckpt is
-	// observable as "the revived shard got the checkpointed weights".
-	preVersion := e.Version
 
 	serveSome := func(n int, seedBase int64) {
 		t.Helper()
@@ -316,9 +298,6 @@ func TestWarmRecovery(t *testing.T) {
 	st := cl.Stats()
 	if st.Shards[0].Served == 0 {
 		t.Fatal("revived shard served nothing")
-	}
-	if e.Version != preVersion {
-		t.Fatalf("live drafter version moved from %d to %d during recovery", preVersion, e.Version)
 	}
 	if st.Errored != 0 || st.DuplicateDeliveries != 0 {
 		t.Fatalf("errored=%d dups=%d after recovery, want 0/0", st.Errored, st.DuplicateDeliveries)
@@ -378,71 +357,5 @@ func TestReviveKeepsHottestPrefix(t *testing.T) {
 	}
 	if got := dst.MatchLen(hot); got != len(hot) {
 		t.Fatalf("hottest prefix matches %d of %d tokens after revival, want all", got, len(hot))
-	}
-}
-
-// TestRollingRestart pins rolling-restart under sustained load: every
-// shard is drained and rebuilt in sequence while traffic keeps flowing,
-// no request is lost, and the full serving set survives.
-func TestRollingRestart(t *testing.T) {
-	target, e, tk, gen := clusterSetup(t)
-	cl, err := New(failoverConfig(tk, 2, 1), target, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-
-	stop := make(chan struct{})
-	var served, failed int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_, err := cl.Serve(context.Background(), Request{
-					Prompt: gen.Pool()[rng.Intn(len(gen.Pool()))].Prompt,
-					MaxNew: 24,
-					Seed:   int64(w*1000 + i),
-				})
-				mu.Lock()
-				if err != nil {
-					failed++
-				} else {
-					served++
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if err := cl.RollingRestart(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
-
-	if got := cl.Scaler().ServingShards(); len(got) != 2 {
-		t.Fatalf("serving shards after rolling restart = %v, want both", got)
-	}
-	for _, sh := range cl.shards {
-		if coordinator.State(sh.state.Load()) != coordinator.Busy {
-			t.Fatalf("shard %d not Busy after rolling restart", sh.id)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if served == 0 {
-		t.Fatal("no traffic served across the rolling restart")
-	}
-	if failed != 0 {
-		t.Fatalf("%d requests failed across the rolling restart", failed)
 	}
 }

@@ -1,10 +1,10 @@
 // Chaos-grade fault injection and warm recovery. A seeded FaultPlan
-// schedules crash/hang/slow-shard events at virtual-time points (driven by
-// a vclock.Clock); a FaultInjector applies them against the cluster as the
-// experiment clock advances. Recovery rebuilds a dead shard's
-// serving.Server warm: drafter weights restored from the spot
-// Checkpointer's latest checkpoint, prefix cache re-warmed by copying
-// the survivors' hottest prefixes into it (warmHandoff).
+// schedules crash/hang/slow-shard events at virtual-time points; the chaos
+// replay applies each one through CrashShard, HangShard, SlowShard or
+// ReviveShard as its clock passes the event. Recovery rebuilds a dead
+// shard's serving.Server over the live drafter, with its prefix cache
+// re-warmed by copying the survivors' hottest prefixes into it
+// (warmHandoff).
 package cluster
 
 import (
@@ -13,12 +13,8 @@ import (
 	"sort"
 	"time"
 
-	"fastrl/internal/coordinator"
-	"fastrl/internal/draft"
 	"fastrl/internal/serving"
-	"fastrl/internal/spot"
 	"fastrl/internal/trace"
-	"fastrl/internal/vclock"
 )
 
 // FaultKind discriminates injectable faults.
@@ -140,50 +136,6 @@ func GenerateFaultPlan(cfg FaultPlanConfig) FaultPlan {
 	return plan
 }
 
-// FaultInjector replays a FaultPlan against a cluster as virtual time
-// advances.
-type FaultInjector struct {
-	c     *Cluster
-	plan  FaultPlan
-	clock *vclock.Clock
-	next  int
-}
-
-// NewFaultInjector binds a plan to the cluster and the experiment clock.
-func (c *Cluster) NewFaultInjector(plan FaultPlan, clock *vclock.Clock) *FaultInjector {
-	return &FaultInjector{c: c, plan: plan, clock: clock}
-}
-
-// Advance moves the virtual clock to t and applies every event that became
-// due, returning the applied events in order.
-func (fi *FaultInjector) Advance(t time.Duration) []FaultEvent {
-	now := fi.clock.AdvanceTo(t)
-	var applied []FaultEvent
-	for fi.next < len(fi.plan.Events) && fi.plan.Events[fi.next].At <= now {
-		ev := fi.plan.Events[fi.next]
-		fi.next++
-		fi.c.applyFault(ev, now)
-		applied = append(applied, ev)
-	}
-	return applied
-}
-
-// Done reports whether every event has been applied.
-func (fi *FaultInjector) Done() bool { return fi.next >= len(fi.plan.Events) }
-
-func (c *Cluster) applyFault(ev FaultEvent, now time.Duration) {
-	switch ev.Kind {
-	case FaultCrash:
-		c.CrashShard(ev.Shard, now)
-	case FaultHang:
-		c.HangShard(ev.Shard, now)
-	case FaultSlow:
-		c.SlowShard(ev.Shard, ev.Stall, now)
-	case FaultRevive:
-		c.ReviveShard(ev.Shard, now)
-	}
-}
-
 // faultKindSpan maps a fault kind to its trace span kind.
 func faultKindSpan(k FaultKind) trace.Kind {
 	switch k {
@@ -239,37 +191,17 @@ func (c *Cluster) SlowShard(id int, stall time.Duration, now time.Duration) {
 	c.shards[id].server().SetStall(stall)
 }
 
-// CheckpointDrafter checkpoints the cluster's drafter through ck and
-// records the checkpoint so dead-shard revival can warm-start from it.
-// The drafter must be a *draft.Eagle (the trainable drafter); byte sizes
-// model the full-scale checkpoint volume (see spot.Checkpointer.Save).
-func (c *Cluster) CheckpointDrafter(ck *spot.Checkpointer, trainableBytes, frozenBytes int64) (spot.SaveStats, error) {
-	eagle, ok := c.drafter.(*draft.Eagle)
-	if !ok {
-		return spot.SaveStats{}, fmt.Errorf("cluster: drafter %T is not checkpointable", c.drafter)
-	}
-	stats, err := ck.Save(eagle, trainableBytes, frozenBytes)
-	if err != nil {
-		return stats, err
-	}
-	c.failMu.Lock()
-	c.ckpt, c.ckptPath = ck, stats.Path
-	c.failMu.Unlock()
-	return stats, nil
-}
-
-// ReviveShard brings a faulted shard back into the serving set. A
-// degraded (slow or hung) shard is restored in place. A dead shard is
-// rebuilt warm: a fresh serving.Server over the shared target, drafter
-// weights restored from the recorded checkpoint (when one exists), and
-// the shard's prefix cache wiped and re-warmed with the surviving shards'
-// hottest prefixes, imported coldest first so that the hottest stay
-// resident if the copies overflow its budget.
+// ReviveShard brings a faulted shard back into the serving set. A slow or
+// hung shard that is still alive is restored in place. A dead shard is
+// rebuilt warm: a fresh serving.Server over the shared target and the live
+// drafter, and the shard's prefix cache wiped and re-warmed with the
+// surviving shards' hottest prefixes, imported coldest first so that the
+// hottest stay resident if the copies overflow its budget.
 func (c *Cluster) ReviveShard(id int, now time.Duration) error {
 	sh := c.shards[id]
 	c.recordFault(id, FaultRevive, now, 0)
 	if !sh.server().Crashed() {
-		// Degraded, not dead: clear the injected faults and rejoin.
+		// Slowed or hung, not dead: clear the injected faults and rejoin.
 		sh.server().SetStall(0)
 		sh.server().Unhang()
 		c.scaler.markRecovered(id, now)
@@ -286,73 +218,11 @@ func (c *Cluster) ReviveShard(id int, now time.Duration) error {
 		sh.cache.Clear()
 		c.warmHandoff(sh)
 	}
-	drafter, err := c.recoveredDrafter()
-	if err != nil {
-		return err
-	}
-	srv, err := serving.New(c.shardServingConfig(sh), c.target, drafter)
+	srv, err := serving.New(c.shardServingConfig(sh), c.target, c.drafter)
 	if err != nil {
 		return fmt.Errorf("cluster: reviving shard %d: %w", id, err)
 	}
 	sh.srv.Store(srv)
 	c.scaler.markRecovered(id, now)
-	return nil
-}
-
-// recoveredDrafter returns the drafter a revived shard should serve with:
-// a clone restored from the recorded checkpoint when one exists (the
-// warm-recovery path), else the shared live drafter.
-func (c *Cluster) recoveredDrafter() (draft.Drafter, error) {
-	c.failMu.Lock()
-	ck, path := c.ckpt, c.ckptPath
-	c.failMu.Unlock()
-	if ck == nil {
-		return c.drafter, nil
-	}
-	eagle, ok := c.drafter.(*draft.Eagle)
-	if !ok {
-		return c.drafter, nil
-	}
-	if err := ck.Wait(); err != nil {
-		return nil, fmt.Errorf("cluster: drafter checkpoint write failed: %w", err)
-	}
-	clone := eagle.Clone()
-	if _, err := spot.Load(path, clone); err != nil {
-		return nil, fmt.Errorf("cluster: restoring drafter: %w", err)
-	}
-	return clone, nil
-}
-
-// RollingRestart restarts every serving shard in sequence under load:
-// each shard is drained (removed from routing, outstanding requests
-// allowed to finish), stopped, rebuilt warm, and returned to the serving
-// set before the next shard starts — the cluster never loses more than
-// one shard of capacity.
-func (c *Cluster) RollingRestart(now time.Duration) error {
-	for _, sh := range c.shards {
-		if coordinator.State(sh.state.Load()) != coordinator.Busy {
-			continue
-		}
-		c.scaler.markDead(sh.id, now)
-		// Graceful drain: the router no longer picks the shard; wait for
-		// its outstanding requests to finish.
-		for sh.outstanding.Load() > 0 && !sh.server().Crashed() {
-			time.Sleep(100 * time.Microsecond)
-		}
-		sh.server().Stop()
-		// A graceful restart keeps the cache contents (shardServingConfig
-		// rebinds the shared cache object); only release is needed on real
-		// hardware.
-		drafter, err := c.recoveredDrafter()
-		if err != nil {
-			return err
-		}
-		srv, err := serving.New(c.shardServingConfig(sh), c.target, drafter)
-		if err != nil {
-			return fmt.Errorf("cluster: rolling restart of shard %d: %w", sh.id, err)
-		}
-		sh.srv.Store(srv)
-		c.scaler.markRecovered(sh.id, now)
-	}
 	return nil
 }

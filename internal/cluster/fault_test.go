@@ -3,9 +3,6 @@ package cluster
 import (
 	"testing"
 	"time"
-
-	"fastrl/internal/coordinator"
-	"fastrl/internal/vclock"
 )
 
 // TestGenerateFaultPlan pins the plan generator's structural invariants:
@@ -62,54 +59,5 @@ func TestGenerateFaultPlan(t *testing.T) {
 		if plan.Events[i] != again.Events[i] {
 			t.Fatalf("plan not deterministic at event %d: %v vs %v", i, plan.Events[i], again.Events[i])
 		}
-	}
-}
-
-// TestFaultInjectorAdvance drives a crash/revive plan through the
-// injector against a live cluster and checks the shard actually dies and
-// comes back as virtual time passes the event points.
-func TestFaultInjectorAdvance(t *testing.T) {
-	target, e, tk, _ := clusterSetup(t)
-	cl, err := New(failoverConfig(tk, 2, 1), target, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-
-	plan := FaultPlan{Events: []FaultEvent{
-		{At: 100 * time.Millisecond, Kind: FaultCrash, Shard: 0},
-		{At: 200 * time.Millisecond, Kind: FaultRevive, Shard: 0},
-	}}
-	clock := &vclock.Clock{}
-	fi := cl.NewFaultInjector(plan, clock)
-
-	if applied := fi.Advance(50 * time.Millisecond); len(applied) != 0 {
-		t.Fatalf("events applied before due: %v", applied)
-	}
-	applied := fi.Advance(150 * time.Millisecond)
-	if len(applied) != 1 || applied[0].Kind != FaultCrash {
-		t.Fatalf("Advance(150ms) applied %v, want the crash", applied)
-	}
-	if !cl.shards[0].server().Crashed() {
-		t.Fatal("shard 0 not crashed after its fault fired")
-	}
-	if st := cl.Scaler().coord.State(0); st != coordinator.Dead {
-		t.Fatalf("shard 0 state = %v, want Dead", st)
-	}
-	if fi.Done() {
-		t.Fatal("injector done with the revive still pending")
-	}
-	applied = fi.Advance(300 * time.Millisecond)
-	if len(applied) != 1 || applied[0].Kind != FaultRevive {
-		t.Fatalf("Advance(300ms) applied %v, want the revive", applied)
-	}
-	if cl.shards[0].server().Crashed() {
-		t.Fatal("shard 0 still crashed after revive")
-	}
-	if st := cl.Scaler().coord.State(0); st != coordinator.Busy {
-		t.Fatalf("shard 0 state = %v, want Busy after revive", st)
-	}
-	if !fi.Done() {
-		t.Fatal("injector not done after all events applied")
 	}
 }

@@ -1,10 +1,9 @@
 // Shard health monitoring: the detection half of failover. The monitor
 // polls each shard's liveness signals (crash flag, decode-step progress)
-// and drives the coordinator's Dead/Degraded transitions — crashed shards
-// are marked dead and their sessions failed over, hung shards (inflight
-// work but no step progress across consecutive polls) are escalated to a
-// crash so their stranded requests replay on survivors, and abnormally
-// slow shards are degraded out of the routing set. Recovery is explicit:
+// and drives the coordinator's Dead transition — crashed shards are marked
+// dead and their sessions failed over, and hung shards (inflight work but
+// no step progress across consecutive polls) are escalated to a crash so
+// their stranded requests replay on survivors. Recovery is explicit:
 // ReviveShard returns a shard once its fault is cleared.
 package cluster
 
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"fastrl/internal/coordinator"
-	"fastrl/internal/metrics"
 )
 
 // MonitorConfig parameterises the health monitor.
@@ -23,10 +21,6 @@ type MonitorConfig struct {
 	// the hang to a crash. Polls where several shards are simultaneously
 	// stalled-with-inflight are not charged (see Poll). Default 3.
 	HangPolls int
-	// SlowFactor enables slow-shard detection when > 0: a serving shard
-	// whose per-poll step progress falls below SlowFactor times the live
-	// median is marked Degraded (excluded from routing, nothing killed).
-	SlowFactor float64
 }
 
 func (m MonitorConfig) withDefaults() MonitorConfig {
@@ -39,8 +33,8 @@ func (m MonitorConfig) withDefaults() MonitorConfig {
 // HealthEvent records one monitor-driven transition.
 type HealthEvent struct {
 	Shard int
-	// Kind is FaultCrash for a detected death or hang escalation, and
-	// FaultSlow for a slow-shard degradation.
+	// Kind is FaultCrash: the monitor reports detected deaths and hang
+	// escalations.
 	Kind FaultKind
 }
 
@@ -68,12 +62,12 @@ func (c *Cluster) NewMonitor(cfg MonitorConfig) *Monitor {
 // transitions it implies, returning them. Poll is the monitor's only
 // method with side effects; callers run it on their experiment cadence.
 func (m *Monitor) Poll(now time.Duration) []HealthEvent {
-	deltas := make([]float64, len(m.c.shards))
+	deltas := make([]int64, len(m.c.shards))
 	stalled := 0
 	for i, sh := range m.c.shards {
 		srv := sh.server()
 		s := srv.StepCount()
-		deltas[i] = float64(s - m.lastSteps[i])
+		deltas[i] = s - m.lastSteps[i]
 		m.lastSteps[i] = s
 		if coordinator.State(sh.state.Load()) != coordinator.Dead &&
 			!srv.Crashed() && srv.Inflight() > 0 && deltas[i] == 0 {
@@ -118,28 +112,6 @@ func (m *Monitor) Poll(now time.Duration) []HealthEvent {
 			continue
 		}
 		m.stalls[i] = 0
-		if m.cfg.SlowFactor > 0 && coordinator.State(sh.state.Load()) == coordinator.Busy {
-			med := m.liveMedian(deltas)
-			if med > 0 && deltas[i] < m.cfg.SlowFactor*med {
-				m.c.scaler.markDegraded(i, now)
-				// Degradation gets a capture too: the ring shows what the
-				// shard was (not) doing when it fell behind.
-				m.c.capturePostmortem(i, now, FaultSlow)
-				evs = append(evs, HealthEvent{Shard: i, Kind: FaultSlow})
-			}
-		}
 	}
 	return evs
-}
-
-// liveMedian is the median per-poll step progress across serving shards
-// that made any progress — the baseline slow detection compares against.
-func (m *Monitor) liveMedian(deltas []float64) float64 {
-	live := make([]float64, 0, len(deltas))
-	for i, sh := range m.c.shards {
-		if coordinator.State(sh.state.Load()) == coordinator.Busy && deltas[i] > 0 {
-			live = append(live, deltas[i])
-		}
-	}
-	return metrics.Median(live)
 }

@@ -1,4 +1,4 @@
-// Postmortem captures: when a shard dies or degrades, its flight-recorder
+// Postmortem captures: when a shard dies, its flight-recorder
 // ring is snapshotted into a bounded per-cluster log, so every chaos fault
 // leaves a capture of the spans (and fault markers) that led up to it —
 // the in-memory analogue of pulling a crashed worker's trace buffer.
@@ -13,15 +13,14 @@ import (
 )
 
 // Postmortem is one captured flight-recorder snapshot, taken when a shard
-// crashed (injected, detected server-side, or escalated from a hang) or
-// was degraded out of the routing set.
+// crashed (injected, detected server-side, or escalated from a hang).
 type Postmortem struct {
 	// Shard is the shard the capture was taken from.
 	Shard int
 	// At is the virtual time of the triggering transition.
 	At time.Duration
 	// Reason is the fault class that triggered the capture: FaultCrash for
-	// death (including hang escalation), FaultSlow for degradation.
+	// death, including hang escalation.
 	Reason FaultKind
 	// Records is the ring snapshot, oldest first — the newest spans the
 	// shard recorded before the capture, including fault markers.
@@ -41,8 +40,8 @@ func (p Postmortem) String() string {
 }
 
 // maxPostmortems bounds the capture log: chaos runs inject a handful of
-// faults, so 32 keeps every capture while still bounding memory if a
-// monitor loop degrades the same shard repeatedly.
+// faults, so 32 keeps every capture while still bounding memory over a
+// long run of faults.
 const maxPostmortems = 32
 
 // capturePostmortem snapshots shard id's flight ring into the postmortem

@@ -125,21 +125,21 @@ func TestNoSilentDrops(t *testing.T) {
 	}
 
 	// Phase 1: synchronous burst — sheds are deterministic.
-	var chans []<-chan Response
+	var streams []*Stream
 	for i := 0; i < n/2; i++ {
 		task := gen.Pool()[i%len(gen.Pool())]
-		ch, err := cl.Submit(context.Background(), Request{Prompt: task.Prompt, MaxNew: 24, Seed: int64(i)})
+		st, err := cl.Stream(context.Background(), Request{Prompt: task.Prompt, MaxNew: 24, Seed: int64(i)})
 		if err != nil {
 			shedOrFatal(err)
 			shedded++
 			continue
 		}
-		chans = append(chans, ch)
+		streams = append(streams, st)
 	}
-	for _, ch := range chans {
-		resp := <-ch
-		if resp.Err != nil {
-			t.Fatal(resp.Err)
+	for _, st := range streams {
+		resp, err := st.Wait()
+		if err != nil {
+			t.Fatal(err)
 		}
 		if len(resp.Tokens) == 0 {
 			t.Error("served response with no tokens")

@@ -100,8 +100,8 @@ func (s *Scaler) Observe(offered float64, now time.Duration) []coordinator.Actio
 				break
 			}
 			// Only Idle/Training shards are promotable: WorkerBusy is a
-			// no-op on Dead/Degraded shards, so counting them as serving
-			// would silently under-provision the live set.
+			// no-op on Dead shards, so counting them as serving would
+			// silently under-provision the live set.
 			if st := s.coord.State(sh.id); st == coordinator.Idle || st == coordinator.Training {
 				actions = append(actions, s.coord.WorkerBusy(sh.id, now)...)
 				serving++
@@ -137,17 +137,7 @@ func (s *Scaler) markDead(id int, now time.Duration) []coordinator.Action {
 	return actions
 }
 
-// markDegraded records a shard as degraded (still alive, excluded from
-// routing until it recovers).
-func (s *Scaler) markDegraded(id int, now time.Duration) []coordinator.Action {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	actions := s.coord.WorkerDegraded(id, now)
-	s.c.shards[id].state.Store(int32(s.coord.State(id)))
-	return actions
-}
-
-// markRecovered returns a Dead/Degraded shard to the serving set.
+// markRecovered returns a dead shard to the serving set.
 func (s *Scaler) markRecovered(id int, now time.Duration) []coordinator.Action {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -214,18 +204,10 @@ func (s *Scaler) utilisations() []float64 {
 	return out
 }
 
-// sessionCounts summarises the coordinator log: training sessions started
-// and trainings preempted.
+// sessionCounts returns the coordinator's training sessions started and
+// trainings preempted.
 func (s *Scaler) sessionCounts() (sessions, preemptions int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, a := range s.coord.Log {
-		switch a.Kind {
-		case coordinator.StartTraining:
-			sessions++
-		case coordinator.PreemptTraining:
-			preemptions++
-		}
-	}
-	return sessions, preemptions
+	return s.coord.Sessions, s.coord.Preemptions
 }

@@ -5,10 +5,8 @@
 // elects a training leader, and preempts training when rollout needs the
 // resources back.
 //
-// The decision logic is a pure state machine (Coordinator) so the
-// event-driven cluster simulation can drive it in virtual time; Bus wraps
-// it in the asynchronous request-reply messaging pattern the paper
-// implements over ZeroMQ, for live (goroutine) operation.
+// The decision logic is a pure state machine (Coordinator), so core's RL
+// step and the cluster's elastic scaler drive it directly in virtual time.
 package coordinator
 
 import (
@@ -26,10 +24,6 @@ const (
 	Idle
 	// Training: engaged in drafter spot training.
 	Training
-	// Degraded: the health monitor observed the worker falling behind
-	// (slow shard). It keeps its inflight work but the router stops
-	// routing new requests to it.
-	Degraded
 	// Dead: the worker crashed or hung; its inflight work is failed over
 	// to survivors and it takes no new work until revived.
 	Dead
@@ -47,8 +41,6 @@ func (s State) String() string {
 		return "IDLE"
 	case Training:
 		return "TRAINING"
-	case Degraded:
-		return "DEGRADED"
 	case Dead:
 		return "DEAD"
 	}
@@ -107,8 +99,10 @@ type Coordinator struct {
 	states []State
 	// leader is the active session leader, -1 when no session runs.
 	leader int
-	// History of emitted actions (diagnostics).
-	Log []Action
+	// Sessions and Preemptions count the StartTraining and PreemptTraining
+	// actions emitted so far.
+	Sessions    int
+	Preemptions int
 }
 
 // New creates a coordinator with all workers BUSY.
@@ -159,7 +153,12 @@ func (c *Coordinator) idleWorkers() []int {
 }
 
 func (c *Coordinator) emit(a Action) Action {
-	c.Log = append(c.Log, a)
+	switch a.Kind {
+	case StartTraining:
+		c.Sessions++
+	case PreemptTraining:
+		c.Preemptions++
+	}
 	return a
 }
 
@@ -174,9 +173,9 @@ func (c *Coordinator) WorkerIdle(worker int, now time.Duration) []Action {
 	case Training:
 		// A training worker cannot go idle without preemption first.
 		return nil
-	case Dead, Degraded:
-		// A failed or quarantined worker must be recovered explicitly
-		// before rejoining the idle pool.
+	case Dead:
+		// A failed worker must be recovered explicitly before rejoining
+		// the idle pool.
 		return nil
 	}
 	c.states[worker] = Idle
@@ -202,9 +201,9 @@ func (c *Coordinator) WorkerIdle(worker int, now time.Duration) []Action {
 // WorkerBusy processes a transition back to rollout duty (e.g. the next
 // RL step starting on this worker).
 func (c *Coordinator) WorkerBusy(worker int, now time.Duration) []Action {
-	if c.states[worker] == Dead || c.states[worker] == Degraded {
-		// Failed or quarantined workers cannot be promoted back to duty by
-		// load pressure; WorkerRecovered is the only way out.
+	if c.states[worker] == Dead {
+		// A failed worker cannot be promoted back to duty by load
+		// pressure; WorkerRecovered is the only way out.
 		return nil
 	}
 	var actions []Action
@@ -241,30 +240,10 @@ func (c *Coordinator) WorkerDead(worker int, now time.Duration) []Action {
 	return actions
 }
 
-// WorkerDegraded quarantines a slow worker: it keeps running (and keeps its
-// inflight requests) but is excluded from routing and training until
-// recovered. A dead worker stays dead — degradation is a weaker verdict.
-func (c *Coordinator) WorkerDegraded(worker int, now time.Duration) []Action {
-	if c.states[worker] == Dead || c.states[worker] == Degraded {
-		return nil
-	}
-	var actions []Action
-	if c.states[worker] == Training {
-		actions = append(actions, c.emit(Action{
-			Kind: PreemptTraining, Workers: []int{worker}, Leader: c.leader, At: now,
-		}))
-		if worker == c.leader {
-			c.migrateLeader(now, &actions)
-		}
-	}
-	c.states[worker] = Degraded
-	return actions
-}
-
-// WorkerRecovered returns a dead or degraded worker to BUSY (serving) duty
-// after revival. It is a no-op for healthy workers.
+// WorkerRecovered returns a dead worker to BUSY (serving) duty after
+// revival. It is a no-op for healthy workers.
 func (c *Coordinator) WorkerRecovered(worker int, now time.Duration) []Action {
-	if c.states[worker] != Dead && c.states[worker] != Degraded {
+	if c.states[worker] != Dead {
 		return nil
 	}
 	c.states[worker] = Busy
@@ -298,11 +277,10 @@ func (c *Coordinator) RolloutComplete(now time.Duration) []Action {
 }
 
 // Reset returns all workers to BUSY for the next RL step's rollout. Dead
-// and degraded workers are left as-is: a step barrier does not revive a
-// failed shard.
+// workers are left as-is: a step barrier does not revive a failed shard.
 func (c *Coordinator) Reset() {
 	for w := range c.states {
-		if c.states[w] == Dead || c.states[w] == Degraded {
+		if c.states[w] == Dead {
 			continue
 		}
 		c.states[w] = Busy

@@ -1,9 +1,6 @@
 package coordinator
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestIdleThresholdPromotion(t *testing.T) {
 	c, err := New(Config{Workers: 4, IdleThreshold: 2})
@@ -128,79 +125,5 @@ func TestStateStrings(t *testing.T) {
 	}
 	if StartTraining.String() != "start-training" || PreemptTraining.String() != "preempt-training" {
 		t.Fatal("action strings wrong")
-	}
-}
-
-func TestBusEndToEnd(t *testing.T) {
-	b, err := NewBus(Config{Workers: 3, IdleThreshold: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	b.Send(Msg{Kind: MsgIdle, Worker: 0, At: 1})
-	b.Send(Msg{Kind: MsgIdle, Worker: 2, At: 2})
-
-	// Both workers should receive the StartTraining directive.
-	for _, w := range []int{0, 2} {
-		select {
-		case a := <-b.Directives(w):
-			if a.Kind != StartTraining || a.Leader != 0 {
-				t.Fatalf("worker %d directive %v", w, a)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("worker %d: no directive", w)
-		}
-	}
-
-	b.Send(Msg{Kind: MsgRolloutComplete, At: 3})
-	for _, w := range []int{0, 2} {
-		select {
-		case a := <-b.Directives(w):
-			if a.Kind != PreemptTraining {
-				t.Fatalf("worker %d directive %v", w, a)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("worker %d: no preemption", w)
-		}
-	}
-
-	// Snapshot must be consistent afterwards (eventually idle).
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		snap := b.Snapshot()
-		if snap[0] == Idle && snap[2] == Idle && snap[1] == Busy {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("states did not settle: %v", snap)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestBusConcurrentSenders(t *testing.T) {
-	b, err := NewBus(Config{Workers: 8, IdleThreshold: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			for i := 0; i < 50; i++ {
-				b.Send(Msg{Kind: MsgIdle, Worker: w, At: time.Duration(i)})
-				b.Send(Msg{Kind: MsgBusy, Worker: w, At: time.Duration(i)})
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	// No deadlock, no panic; states settle to something valid.
-	snap := b.Snapshot()
-	if len(snap) != 8 {
-		t.Fatalf("snapshot %v", snap)
 	}
 }

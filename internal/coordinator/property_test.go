@@ -2,7 +2,6 @@ package coordinator
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 )
@@ -10,8 +9,8 @@ import (
 // TestCoordinatorInvariants drives the state machine with random event
 // sequences and checks structural invariants after every event:
 //   - a leader exists if and only if at least one worker is TRAINING
-//   - the leader itself is TRAINING (so never DEAD or DEGRADED)
-//   - worker states are always one of the five defined values
+//   - the leader itself is TRAINING (so never DEAD)
+//   - worker states are always one of the four defined values
 //   - RolloutComplete always clears all TRAINING workers
 func TestCoordinatorInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -25,7 +24,7 @@ func TestCoordinatorInvariants(t *testing.T) {
 		for ev := 0; ev < 60; ev++ {
 			w := rng.Intn(workers)
 			now := time.Duration(ev)
-			switch rng.Intn(7) {
+			switch rng.Intn(6) {
 			case 0:
 				c.WorkerIdle(w, now)
 			case 1:
@@ -37,8 +36,6 @@ func TestCoordinatorInvariants(t *testing.T) {
 			case 4:
 				c.WorkerDead(w, now)
 			case 5:
-				c.WorkerDegraded(w, now)
-			case 6:
 				c.WorkerRecovered(w, now)
 			}
 			checkInvariants(t, c, trial, ev)
@@ -61,18 +58,19 @@ func checkInvariants(t *testing.T, c *Coordinator, trial, ev int) {
 	}
 	for w, s := range c.States() {
 		switch s {
-		case Busy, Idle, Training, Degraded, Dead:
+		case Busy, Idle, Training, Dead:
 		default:
 			t.Fatalf("trial %d ev %d: worker %d invalid state %d", trial, ev, w, int(s))
 		}
-		if (s == Dead || s == Degraded) && w == leader {
+		if s == Dead && w == leader {
 			t.Fatalf("trial %d ev %d: leader %d is %v", trial, ev, w, s)
 		}
 	}
 }
 
 // TestCoordinatorActionsConsistent checks emitted actions reference valid
-// workers and that StartTraining includes its leader.
+// workers, that StartTraining includes its leader, and that the session
+// and preemption counters match the actions returned.
 func TestCoordinatorActionsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c, err := New(Config{Workers: 6, IdleThreshold: 2})
@@ -92,7 +90,14 @@ func TestCoordinatorActionsConsistent(t *testing.T) {
 			actions = append(actions, c.RolloutComplete(now)...)
 		}
 	}
+	var sessions, preemptions int
 	for _, a := range actions {
+		switch a.Kind {
+		case StartTraining:
+			sessions++
+		case PreemptTraining:
+			preemptions++
+		}
 		if len(a.Workers) == 0 {
 			t.Fatalf("action %v has no workers", a)
 		}
@@ -115,6 +120,10 @@ func TestCoordinatorActionsConsistent(t *testing.T) {
 	}
 	if len(actions) == 0 {
 		t.Fatal("no actions emitted over 300 events")
+	}
+	if c.Sessions != sessions || c.Preemptions != preemptions {
+		t.Fatalf("counters sessions=%d preemptions=%d, actions returned %d and %d",
+			c.Sessions, c.Preemptions, sessions, preemptions)
 	}
 }
 
@@ -155,17 +164,10 @@ func TestFaultTransitions(t *testing.T) {
 	if c.State(0) != Dead {
 		t.Fatalf("Reset revived dead worker to %v", c.State(0))
 	}
-	// Degrading a busy worker quarantines it; death outranks degradation.
-	c.WorkerDegraded(2, 5)
-	if c.State(2) != Degraded {
-		t.Fatalf("worker 2 state %v, want DEGRADED", c.State(2))
-	}
+	// A busy worker dies too.
 	c.WorkerDead(2, 6)
 	if c.State(2) != Dead {
 		t.Fatalf("worker 2 state %v, want DEAD", c.State(2))
-	}
-	if c.WorkerDegraded(2, 7); c.State(2) != Dead {
-		t.Fatalf("degradation demoted a dead worker to %v", c.State(2))
 	}
 	// Recovery returns both to serving duty.
 	c.WorkerRecovered(0, 8)
@@ -176,70 +178,5 @@ func TestFaultTransitions(t *testing.T) {
 	// Recovering a healthy worker is a no-op.
 	if acts := c.WorkerRecovered(3, 10); acts != nil || c.State(3) != Busy {
 		t.Fatalf("recovering healthy worker: acts=%v state=%v", acts, c.State(3))
-	}
-}
-
-// TestBusConcurrentEvents hammers the Bus with concurrent mixed messages
-// (including the fault kinds) from several goroutines and checks the
-// snapshot stays structurally valid throughout and after close. Run under
-// -race this also proves the loop's locking discipline.
-func TestBusConcurrentEvents(t *testing.T) {
-	const workers = 6
-	b, err := NewBus(Config{Workers: workers, IdleThreshold: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := []MsgKind{MsgIdle, MsgBusy, MsgRolloutComplete, MsgDead, MsgDegraded, MsgRecovered}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + g)))
-			for i := 0; i < 200; i++ {
-				b.Send(Msg{
-					Kind:   kinds[rng.Intn(len(kinds))],
-					Worker: rng.Intn(workers),
-					At:     time.Duration(i),
-				})
-			}
-		}(g)
-	}
-	// Concurrent snapshot reader: every observed state must be valid.
-	stop := make(chan struct{})
-	var reader sync.WaitGroup
-	reader.Add(1)
-	go func() {
-		defer reader.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for w, s := range b.Snapshot() {
-				switch s {
-				case Busy, Idle, Training, Degraded, Dead:
-				default:
-					t.Errorf("worker %d invalid state %d", w, int(s))
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	// Drain: give the loop a moment to consume the buffered messages.
-	for i := 0; i < 100 && len(b.in) > 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	reader.Wait()
-	b.Close()
-	// Post-close sends must not panic or block.
-	b.Send(Msg{Kind: MsgDead, Worker: 0})
-	// Final state machine must still satisfy the invariants.
-	c := b.Coordinator()
-	if leader := c.Leader(); leader >= 0 && c.State(leader) != Training {
-		t.Fatalf("leader %d in state %v after close", leader, c.State(leader))
 	}
 }

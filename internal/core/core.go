@@ -120,12 +120,6 @@ type Config struct {
 	// contrasts TLT with (§7, §8): it trades training quality for speed,
 	// whereas TLT is lossless. Zero disables it.
 	EarlyStopTail int
-	// EvalEvery runs a held-out greedy evaluation every N steps (the
-	// paper's periodic evaluations, every 5 steps on its trace). Zero
-	// disables evaluation.
-	EvalEvery int
-	// EvalTasks is the held-out evaluation set size (default 32).
-	EvalTasks int
 }
 
 // DefaultConfig returns a TLT system on one H100 node.
@@ -165,9 +159,8 @@ type System struct {
 	// Clock is the cluster-wide virtual clock.
 	Clock *vclock.Clock
 
-	rng     *rand.Rand
-	step    int
-	evalGen *workload.TaskGen
+	rng  *rand.Rand
+	step int
 }
 
 // New builds a system.
@@ -279,10 +272,6 @@ type StepStats struct {
 	IdleTime time.Duration
 	// Summary carries the learning metrics.
 	Summary rl.StepSummary
-	// EvalAccuracy is the held-out greedy accuracy when this step ran an
-	// evaluation (negative otherwise); EvalTime its cluster cost.
-	EvalAccuracy float64
-	EvalTime     time.Duration
 	// WorkerFinish are per-worker rollout finish offsets.
 	WorkerFinish []time.Duration
 	// RespLens are the response lengths of the global batch.
@@ -338,16 +327,6 @@ func (s *System) Step() (StepStats, error) {
 	if s.Cfg.Kind == TLT {
 		s.Buffer.StepEnd()
 		s.Coord.Reset()
-	}
-
-	// Periodic held-out evaluation (greedy decoding on the eval pool).
-	stats.EvalAccuracy = -1
-	if s.Cfg.EvalEvery > 0 && s.step%s.Cfg.EvalEvery == 0 {
-		acc, cost := s.Evaluate()
-		stats.EvalAccuracy = acc
-		stats.EvalTime = cost
-		stats.Other += cost
-		s.Clock.Advance(cost)
 	}
 
 	stats.Summary = rl.Summarize(s.step, groups, kl)
@@ -603,44 +582,4 @@ func (s *System) CheckMemory() error {
 			demand/1e9, c.GPU.Name, c.GPU.MemGB, weights/1e9, optim/1e9, kv/1e9)
 	}
 	return nil
-}
-
-// Evaluate runs a greedy held-out evaluation, returning accuracy and the
-// cluster time it costs (generation charged to the rollout cost model).
-func (s *System) Evaluate() (float64, time.Duration) {
-	n := s.Cfg.EvalTasks
-	if n <= 0 {
-		n = 32
-	}
-	if s.evalGen == nil {
-		s.evalGen = workload.HeldOut(s.Tk, n, s.Cfg.Seed)
-	}
-	rng := rand.New(rand.NewSource(s.Cfg.Seed ^ 0xe7a1))
-	tasks := s.evalGen.Pool()
-	correct := 0
-	var tokens int
-	for _, task := range tasks {
-		seq := model.Generate(s.Target, task.Prompt, nil, 0, s.Cfg.MaxNew/2, s.Tk.Eos(), rng)
-		tokens += len(seq)
-		if d, ok := s.Verifier.ExtractAnswer(seq[len(task.Prompt):]); ok && d == task.Answer {
-			correct++
-		}
-	}
-	// Evaluation decodes greedily at batch = tasks/workers: charge it as
-	// sequential decode steps at that batch size.
-	W := s.Cfg.Cluster.Workers()
-	perWorker := (len(tasks) + W - 1) / W
-	dev := s.workerDevice()
-	meanLen := tokens / len(tasks)
-	stepCost := dev.Forward(s.Cfg.Arch, gpu.ForwardOpts{Tokens: perWorker, KVTokens: perWorker * meanLen, CUDAGraph: true}).Total()
-	cost := time.Duration(meanLen) * stepCost
-	return float64(correct) / float64(len(tasks)), cost
-}
-
-// RefreshNGram resets the model-free drafter between steps so retrieval
-// reflects the current policy's phrasing (TLT-Base bookkeeping).
-func (s *System) RefreshNGram() {
-	if s.NGram != nil {
-		s.NGram.Reset()
-	}
 }

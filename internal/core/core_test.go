@@ -328,51 +328,3 @@ func TestStepDeterminism(t *testing.T) {
 		t.Fatalf("same-seed systems diverge: %v vs %v", a, b)
 	}
 }
-
-func TestPeriodicEvaluation(t *testing.T) {
-	cfg := smallConfig(VeRL)
-	cfg.EvalEvery = 2
-	cfg.EvalTasks = 12
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var evals []int
-	for i := 1; i <= 4; i++ {
-		st, err := sys.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.EvalAccuracy >= 0 {
-			evals = append(evals, i)
-			if st.EvalTime <= 0 {
-				t.Fatal("evaluation cost not charged")
-			}
-			if st.EvalAccuracy > 1 {
-				t.Fatalf("accuracy %v out of range", st.EvalAccuracy)
-			}
-		}
-	}
-	if len(evals) != 2 || evals[0] != 2 || evals[1] != 4 {
-		t.Fatalf("evaluations at steps %v, want [2 4]", evals)
-	}
-}
-
-func TestEvaluateDirect(t *testing.T) {
-	sys, err := New(smallConfig(VeRL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, cost := sys.Evaluate()
-	if acc < 0 || acc > 1 {
-		t.Fatalf("accuracy %v", acc)
-	}
-	if cost <= 0 {
-		t.Fatalf("cost %v", cost)
-	}
-	// Deterministic: greedy evaluation twice gives the same accuracy.
-	acc2, _ := sys.Evaluate()
-	if acc != acc2 {
-		t.Fatalf("greedy eval nondeterministic: %v vs %v", acc, acc2)
-	}
-}

@@ -202,8 +202,8 @@ func TestNGramRetrieval(t *testing.T) {
 	probs := make([]float32, 50)
 	// Context ...2,3,4 was last followed by 6.
 	g.Probs([]int{9, 2, 3, 4}, 0, nil, 1, probs)
-	if model.Argmax(probs) != 6 {
-		t.Fatalf("ngram retrieval argmax = %d, want 6", model.Argmax(probs))
+	if top := model.TopK(probs, 1)[0]; top != 6 {
+		t.Fatalf("ngram retrieval argmax = %d, want 6", top)
 	}
 	if g.HitRate() != 1 {
 		t.Fatalf("hit rate = %v", g.HitRate())
@@ -218,10 +218,6 @@ func TestNGramRetrieval(t *testing.T) {
 	}
 	if g.Size() == 0 {
 		t.Fatal("observe indexed nothing")
-	}
-	g.Reset()
-	if g.Size() != 0 || g.HitRate() != 0 {
-		t.Fatal("reset incomplete")
 	}
 }
 

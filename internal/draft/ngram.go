@@ -98,14 +98,6 @@ func (g *NGram) Probs(tokens []int, promptLen int, hidden *model.HiddenState, te
 // HitRate reports the fraction of lookups that matched.
 func (g *NGram) HitRate() float64 { return g.lookups.Rate() }
 
-// Reset clears the retrieval index (e.g. between prompt groups).
-func (g *NGram) Reset() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.table = make(map[uint64]int)
-	g.lookups.Reset()
-}
-
 // Size returns the number of indexed n-grams.
 func (g *NGram) Size() int {
 	g.mu.RLock()

@@ -127,6 +127,49 @@ func runFig11(opts Options) (*Result, error) {
 	return res, nil
 }
 
+// linearHistogram is a fixed-bin histogram over [minV, maxV) for fig. 1a's
+// response-length PDF. Samples outside the range count toward the total but
+// land in no bin.
+type linearHistogram struct {
+	minV, maxV float64
+	counts     []int
+	n          int
+}
+
+func newLinearHistogram(minV, maxV float64, nbins int) *linearHistogram {
+	return &linearHistogram{minV: minV, maxV: maxV, counts: make([]int, nbins)}
+}
+
+func (h *linearHistogram) observe(x float64) {
+	h.n++
+	if x < h.minV || x >= h.maxV {
+		return
+	}
+	idx := int((x - h.minV) / (h.maxV - h.minV) * float64(len(h.counts)))
+	if idx >= len(h.counts) {
+		idx = len(h.counts) - 1
+	}
+	h.counts[idx]++
+}
+
+// pdf returns per-bin probability mass (fractions of all observations).
+func (h *linearHistogram) pdf() []float64 {
+	out := make([]float64, len(h.counts))
+	if h.n == 0 {
+		return out
+	}
+	for i, c := range h.counts {
+		out[i] = float64(c) / float64(h.n)
+	}
+	return out
+}
+
+// binCenter returns the centre value of bin i.
+func (h *linearHistogram) binCenter(i int) float64 {
+	w := (h.maxV - h.minV) / float64(len(h.counts))
+	return h.minV + (float64(i)+0.5)*w
+}
+
 func runFig1a(opts Options) (*Result, error) {
 	cfg := e2eConfig(e2eModels(true)[0], core.VeRL, gpu.H100, 1, seedOr(opts, 7), opts.Quick)
 	sys, err := core.New(cfg)
@@ -137,7 +180,7 @@ func runFig1a(opts Options) (*Result, error) {
 	if opts.Quick {
 		steps = 1
 	}
-	hist := metrics.NewLinearHistogram(0, float64(cfg.MaxNew)+1, 16)
+	hist := newLinearHistogram(0, float64(cfg.MaxNew)+1, 16)
 	var rollout, other float64
 	var maxLen int
 	for i := 0; i < steps; i++ {
@@ -147,19 +190,17 @@ func runFig1a(opts Options) (*Result, error) {
 		}
 		rollout += secsOf(st.Rollout)
 		other += secsOf(st.Inference + st.Training + st.Other)
-		_ = st
 		if st.Summary.MaxLen > maxLen {
 			maxLen = st.Summary.MaxLen
 		}
 		for _, l := range st.RespLens {
-			hist.Observe(float64(l))
+			hist.observe(float64(l))
 		}
 	}
-	_ = sys
 	var lenSeries metrics.Series
 	lenSeries.Name = "response-length-pdf"
-	for i, p := range hist.PDF() {
-		lenSeries.Add(hist.BinCenter(i), p)
+	for i, p := range hist.pdf() {
+		lenSeries.Add(hist.binCenter(i), p)
 	}
 	tbl := &metrics.Table{Header: []string{"stage", "normalized time"}}
 	total := rollout + other

@@ -19,8 +19,6 @@ type Options struct {
 	Quick bool
 	// Seed overrides the default experiment seed.
 	Seed int64
-	// Verbose enables progress notes.
-	Verbose bool
 	// Trace enables request-lifecycle tracing in experiments that support
 	// it (batching traces its continuous-16 arm); the exported Chrome
 	// trace lands in Result.TraceChrome. Off by default: tracing is never

@@ -20,9 +20,6 @@ func (c *Counter) Add(d int64) { c.n.Add(d) }
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.n.Load() }
 
-// Reset zeroes the counter (atomically; safe against concurrent readers).
-func (c *Counter) Reset() { c.n.Store(0) }
-
 // Ratio is bounded hit/miss accounting over an unbounded event stream: two
 // Counters and a derived rate, shared by the prefix cache (lookup hits),
 // serving probes, and the n-gram drafter instead of each keeping its own
@@ -54,12 +51,4 @@ func (r *Ratio) Rate() float64 {
 		return 0
 	}
 	return float64(r.hits.Load()) / float64(t)
-}
-
-// Reset zeroes both counters. Unlike overwriting the struct, the stores
-// are atomic, so a concurrent Rate reader sees zeros or old values, never
-// a torn mix with undefined behaviour.
-func (r *Ratio) Reset() {
-	r.hits.Reset()
-	r.total.Reset()
 }

@@ -59,20 +59,6 @@ func Mean(xs []float64) float64 {
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Max returns the maximum, or 0 for empty input.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -124,7 +110,6 @@ type Window struct {
 	cap  int
 	data []float64
 	head int
-	full bool
 }
 
 // NewWindow creates a window with the given capacity (minimum 1).
@@ -143,7 +128,6 @@ func (w *Window) Push(x float64) {
 	}
 	w.data[w.head] = x
 	w.head = (w.head + 1) % w.cap
-	w.full = true
 }
 
 // Len returns the number of stored observations.
@@ -157,64 +141,6 @@ func (w *Window) Median() float64 { return Median(w.data) }
 
 // Mean returns the mean of the stored observations (0 when empty).
 func (w *Window) Mean() float64 { return Mean(w.data) }
-
-// LinearHistogram is a fixed-bin histogram over [min, max) used for
-// figure-style distributions (accepted-length PDFs). Latency percentiles
-// use the log-bucket Histogram in histogram.go instead.
-type LinearHistogram struct {
-	MinV, MaxV float64
-	Counts     []int
-	N          int
-	overflow   int
-	underflow  int
-}
-
-// NewLinearHistogram creates a histogram with nbins bins spanning [min, max).
-func NewLinearHistogram(minV, maxV float64, nbins int) *LinearHistogram {
-	if nbins < 1 {
-		nbins = 1
-	}
-	if maxV <= minV {
-		maxV = minV + 1
-	}
-	return &LinearHistogram{MinV: minV, MaxV: maxV, Counts: make([]int, nbins)}
-}
-
-// Observe adds one sample.
-func (h *LinearHistogram) Observe(x float64) {
-	h.N++
-	if x < h.MinV {
-		h.underflow++
-		return
-	}
-	if x >= h.MaxV {
-		h.overflow++
-		return
-	}
-	idx := int((x - h.MinV) / (h.MaxV - h.MinV) * float64(len(h.Counts)))
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-}
-
-// PDF returns per-bin probability mass (fractions of all observations).
-func (h *LinearHistogram) PDF() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.N == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.N)
-	}
-	return out
-}
-
-// BinCenter returns the centre value of bin i.
-func (h *LinearHistogram) BinCenter(i int) float64 {
-	w := (h.MaxV - h.MinV) / float64(len(h.Counts))
-	return h.MinV + (float64(i)+0.5)*w
-}
 
 // Throughput converts a token count over a virtual duration to tokens/sec.
 func Throughput(tokens int, elapsed time.Duration) float64 {

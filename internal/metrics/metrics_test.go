@@ -81,19 +81,13 @@ func TestPercentileProperties(t *testing.T) {
 	}
 }
 
-func TestMeanMedianStddev(t *testing.T) {
+func TestMeanMedian(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
 		t.Errorf("Mean = %v", m)
 	}
 	if m := Median(xs); math.Abs(m-4.5) > 1e-9 {
 		t.Errorf("Median = %v", m)
-	}
-	if s := Stddev(xs); math.Abs(s-2) > 1e-9 {
-		t.Errorf("Stddev = %v, want 2", s)
-	}
-	if Stddev([]float64{1}) != 0 {
-		t.Error("singleton stddev should be 0")
 	}
 }
 
@@ -172,24 +166,6 @@ func TestWindowSlidingProperty(t *testing.T) {
 				t.Fatalf("at step %d window contents diverge", i)
 			}
 		}
-	}
-}
-
-func TestLinearHistogram(t *testing.T) {
-	h := NewLinearHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	h.Observe(-1) // underflow
-	h.Observe(11) // overflow
-	pdf := h.PDF()
-	for i, p := range pdf {
-		if math.Abs(p-1.0/12) > 1e-9 {
-			t.Fatalf("bin %d pdf = %v", i, p)
-		}
-	}
-	if c := h.BinCenter(0); math.Abs(c-0.5) > 1e-9 {
-		t.Fatalf("BinCenter(0) = %v", c)
 	}
 }
 

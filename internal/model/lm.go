@@ -283,20 +283,6 @@ func (m *LM) PolicyGradientStep(ctx Context, advantage float64, lr float64, temp
 	return klSum / float64(klN)
 }
 
-// LogProb returns the model log-probability of the generated suffix of a
-// sequence at the given temperature (used by the GRPO inference stage).
-func (m *LM) LogProb(ctx Context, temp float64) float64 {
-	tokens := ctx.Tokens
-	probs := make([]float32, m.cfg.Vocab)
-	var lp float64
-	for pos := ctx.PromptLen; pos < len(tokens); pos++ {
-		sub := Context{Tokens: tokens[:pos], PromptLen: ctx.PromptLen}
-		m.Probs(sub, nil, temp, probs)
-		lp += logSafe(float64(probs[tokens[pos]]))
-	}
-	return lp
-}
-
 // GrammarPrior injects a light structural prior into a freshly initialised
 // model, standing in for the base model's pretraining: answers are digit
 // sequences terminated by EOS, and the answer marker is reachable.

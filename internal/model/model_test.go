@@ -279,20 +279,6 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-func TestLogProbConsistency(t *testing.T) {
-	lm, tk := testLM(t)
-	prompt := []int{tk.Bos(), tk.Digit(9)}
-	full := append(append([]int{}, prompt...), tk.Answer(), tk.Digit(9), tk.Eos())
-	ctx := Context{Tokens: full, PromptLen: len(prompt)}
-	lp := lm.LogProb(ctx, 1)
-	if lp >= 0 {
-		t.Fatalf("log prob of a sequence should be negative, got %v", lp)
-	}
-	if want := math.Log(respProb(lm, ctx)); math.Abs(lp-want) > 1e-3 {
-		t.Fatalf("LogProb = %v, want %v", lp, want)
-	}
-}
-
 // respProb returns the product probability of the generated suffix.
 func respProb(lm *LM, ctx Context) float64 {
 	probs := make([]float32, lm.Config().Vocab)

@@ -234,17 +234,6 @@ func SampleProbs(probs []float32, rng *rand.Rand) int {
 	return len(probs) - 1
 }
 
-// Argmax returns the index of the largest probability.
-func Argmax(probs []float32) int {
-	best := 0
-	for i, p := range probs {
-		if p > probs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // TopK returns the indices of the k largest entries, descending (ties
 // broken by ascending index). k is clamped to len(probs).
 func TopK(probs []float32, k int) []int {

@@ -346,9 +346,6 @@ func (b *Batch) Selector() *mab.Selector { return b.selector }
 // Pool exposes the CUDAGraph pool (nil when SD disabled).
 func (b *Batch) Pool() *cudagraph.Pool { return b.pool }
 
-// SetDrafter swaps the draft model (adaptive drafter weight refresh).
-func (b *Batch) SetDrafter(d draft.Drafter) { b.drafter = d }
-
 // Admit schedules a request to join the batch at the next step boundary:
 // its prefill is folded into the next Step's prefill pass together with
 // every other admission since the previous step, exactly one batched

@@ -18,8 +18,7 @@
 //
 // The request surface is streaming-first: Server.Stream returns a
 // pull-based session of token/accept/usage events with real mid-flight
-// cancellation (see stream.go); Submit and Serve are thin wrappers that
-// drain one.
+// cancellation (see stream.go); Serve is a thin wrapper that drains one.
 package serving
 
 import (
@@ -107,9 +106,8 @@ type Request struct {
 //
 // Error reporting: on paths that return an explicit error — Serve,
 // Stream.Wait — that error return is authoritative and Err merely mirrors
-// it. Err exists for the channel path (Submit), which has no error return
-// of its own; callers holding an error return should use it and ignore
-// Err.
+// it. Err carries the failure where no error return exists: the terminal
+// Usage event and OnFinish hooks.
 type Response struct {
 	Tokens []int
 	// ReqID is the scheduler request ID the serving layer assigned (unique
@@ -132,15 +130,14 @@ type Response struct {
 	ITL time.Duration
 	// AcceptLen is the mean SD accept length (0 without SD).
 	AcceptLen float64
-	// Err reports per-request failure on the channel path (Submit); it is
-	// context.Canceled when the request was cancelled mid-flight, in which
-	// case Tokens holds the partial response. Where an explicit error is
-	// returned alongside the Response, that error is the authoritative
-	// copy of this field.
+	// Err reports per-request failure; it is context.Canceled when the
+	// request was cancelled mid-flight, in which case Tokens holds the
+	// partial response. Where an explicit error is returned alongside the
+	// Response, that error is the authoritative copy of this field.
 	Err error
 }
 
-// ErrStopped is returned by Stream/Submit/Serve after a graceful Stop.
+// ErrStopped is returned by Stream and Serve after a graceful Stop.
 var ErrStopped = errors.New("serving: server stopped")
 
 // ErrCrashed marks requests stranded by an injected (or detected) shard
@@ -164,10 +161,10 @@ type Server struct {
 	// request.
 	reqSeq atomic.Int64
 	wg     sync.WaitGroup
-	// stopMu serialises queue sends against Stop closing the queue: Submit
+	// stopMu serialises queue sends against Stop closing the queue: Stream
 	// holds the read side across its send (replicas drain the queue without
 	// taking the lock, so a blocked send always completes), Stop takes the
-	// write side before close. Without it a Submit racing Stop could send
+	// write side before close. Without it a Stream racing Stop could send
 	// on a closed channel.
 	stopMu  sync.RWMutex
 	stopped bool
@@ -575,7 +572,7 @@ func (s *Server) CacheResidentBytes() int64 {
 }
 
 // Stream enqueues a request and returns its streaming session — the
-// primary request path (Submit and Serve are wrappers over it). It fails
+// primary request path (Serve is a wrapper over it). It fails
 // fast when ctx is already cancelled, the queue send would block past a
 // cancellation, or the server is stopped. The returned stream delivers
 // token chunks at step boundaries, per-round accept updates, and exactly
@@ -624,23 +621,6 @@ func (s *Server) Stream(ctx context.Context, req Request) (*Stream, error) {
 		}()
 	}
 	return st, nil
-}
-
-// Submit enqueues a request and returns a channel delivering its
-// response — a wrapper that drains a Stream to its terminal event. On
-// this path Response.Err is the only failure signal (see Response);
-// cancelling ctx after a successful Submit delivers the partial response
-// with Err = context.Canceled.
-func (s *Server) Submit(ctx context.Context, req Request) (<-chan Response, error) {
-	st, err := s.Stream(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan Response, 1)
-	// Goroutine-free delivery: the terminal hook fires exactly once and
-	// the buffered send cannot block.
-	st.OnFinish(func(r Response) { ch <- r })
-	return ch, nil
 }
 
 // Serve submits and waits for completion — a wrapper that drains a

@@ -123,7 +123,7 @@ func TestSubmitAfterStop(t *testing.T) {
 	}
 	srv.Stop()
 	srv.Stop() // idempotent
-	if _, err := srv.Submit(context.Background(), Request{Prompt: []int{tk.Bos()}, MaxNew: 8}); err == nil {
+	if _, err := srv.Stream(context.Background(), Request{Prompt: []int{tk.Bos()}, MaxNew: 8}); err == nil {
 		t.Fatal("expected error after stop")
 	}
 }
@@ -146,7 +146,7 @@ func TestSubmitContextCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	for i := 0; i < 10; i++ {
-		if _, err := srv.Submit(ctx, Request{Prompt: gen.Pool()[0].Prompt, MaxNew: 64}); err != nil {
+		if _, err := srv.Stream(ctx, Request{Prompt: gen.Pool()[0].Prompt, MaxNew: 64}); err != nil {
 			return // got the fast-fail we wanted
 		}
 	}
@@ -208,21 +208,21 @@ func TestLoadProbes(t *testing.T) {
 		t.Fatalf("Replicas = %d, want 2", srv.Replicas())
 	}
 	const n = 8
-	chans := make([]<-chan Response, 0, n)
+	streams := make([]*Stream, 0, n)
 	for i := 0; i < n; i++ {
 		task := gen.Pool()[i%len(gen.Pool())]
-		ch, err := srv.Submit(context.Background(), Request{Prompt: task.Prompt, MaxNew: 48, Seed: int64(i)})
+		st, err := srv.Stream(context.Background(), Request{Prompt: task.Prompt, MaxNew: 48, Seed: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans = append(chans, ch)
+		streams = append(streams, st)
 	}
 	// With 8 outstanding jobs and 2 replicas, the probes must see load.
 	if srv.Pending() == 0 {
 		t.Fatal("probes saw no load with 8 outstanding jobs")
 	}
-	for _, ch := range chans {
-		<-ch
+	for _, st := range streams {
+		st.Wait()
 	}
 	// All responses delivered ⇒ the load drains back to zero (inflight is
 	// decremented before the response is sent).

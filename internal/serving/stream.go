@@ -106,8 +106,7 @@ type job struct {
 	finished atomic.Bool
 	// onFinish hooks (guarded by mu) run exactly once each, in
 	// registration order, with the final response before any waiter
-	// observes the terminal event — the cluster's accounting hook and
-	// Submit's channel delivery.
+	// observes the terminal event — the cluster's accounting hooks.
 	onFinish []func(Response)
 
 	// Producer-side chunk bookkeeping (replica goroutine only).
@@ -149,9 +148,8 @@ func (s *Server) cancelJob(j *job) {
 }
 
 // Stream is a pull-based streaming session over one request — the
-// primary request path (Serve and Submit are thin wrappers that drain
-// one). Recv is single-consumer; Wait and Cancel are safe from any
-// goroutine.
+// primary request path (Serve is a thin wrapper that drains one). Recv
+// is single-consumer; Wait and Cancel are safe from any goroutine.
 type Stream struct {
 	srv *Server
 	j   *job
@@ -333,8 +331,8 @@ func (st *Stream) Cancel() { st.srv.cancelJob(st.j) }
 // the caller's goroutine. Hooks run in registration order with the
 // stream's internal lock held and must not call back into the stream or
 // block (a cap-1 buffered channel send is fine). The cluster layer uses
-// one to settle admission accounting, Submit to deliver the response
-// channel — neither needs a per-request drain goroutine.
+// one to settle admission accounting without a per-request drain
+// goroutine.
 func (st *Stream) OnFinish(fn func(Response)) {
 	j := st.j
 	j.mu.Lock()

@@ -165,7 +165,7 @@ func TestStreamCancelMidFlight(t *testing.T) {
 	if err != nil || ev.Kind != EventTokens {
 		t.Fatalf("first victim event: kind=%d err=%v", ev.Kind, err)
 	}
-	survCh, err := srv.Submit(context.Background(), surv)
+	survivor, err := srv.Stream(context.Background(), surv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +187,9 @@ func TestStreamCancelMidFlight(t *testing.T) {
 	}
 
 	// The survivor — co-batched with a cancelled stranger — is unperturbed.
-	got := <-survCh
-	if got.Err != nil {
-		t.Fatal(got.Err)
+	got, err := survivor.Wait()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got.Tokens) != len(want.Tokens) {
 		t.Fatalf("survivor %d tokens, solo %d", len(got.Tokens), len(want.Tokens))
@@ -264,9 +264,6 @@ func TestStreamOnCancelledContext(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		if _, err := srv.Stream(ctx, Request{Prompt: gen.Pool()[0].Prompt, MaxNew: 8}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Stream on dead ctx = %v, want context.Canceled", err)
-		}
-		if _, err := srv.Submit(ctx, Request{Prompt: gen.Pool()[0].Prompt, MaxNew: 8}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("Submit on dead ctx = %v, want context.Canceled", err)
 		}
 	}
 	if got := srv.QueueLen(); got != 0 {

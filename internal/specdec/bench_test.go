@@ -22,19 +22,6 @@ func BenchmarkSpecRound(b *testing.B) {
 	}
 }
 
-func BenchmarkSpecStepTree(b *testing.B) {
-	lm, e, tk := newSetup(b)
-	eng := &Engine{Target: lm, Temp: 0.9, EosID: -1}
-	p := Params{DraftDepth: 6, TopK: 6, TokensToVerify: 24}
-	rng := rand.New(rand.NewSource(1))
-	prompt := testPrompt(tk, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(e, prompt, len(prompt), p, rng)
-	}
-}
-
 func BenchmarkSpecStepLinear(b *testing.B) {
 	lm, e, tk := newSetup(b)
 	eng := &Engine{Target: lm, Temp: 0.9, EosID: -1}

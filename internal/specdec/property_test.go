@@ -105,6 +105,15 @@ func TestSelectNodesAncestryClosure(t *testing.T) {
 	}
 }
 
+// selectNodes returns the indices of up to k nodes with the highest path
+// probability, closed under ancestry: an allocating wrapper over the
+// engine's scratch-based selection.
+func selectNodes(nodes []node, k int) []int {
+	sc := &scratch{}
+	t := &tree{nodes: nodes}
+	return append([]int(nil), sc.selectKeptInto(t, k)...)
+}
+
 // TestVerifyNodeMarginalProperty: for a random distribution p and random
 // candidate sets, the empirical accept+corrective marginal must match p.
 func TestVerifyNodeMarginalProperty(t *testing.T) {

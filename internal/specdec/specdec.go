@@ -609,15 +609,6 @@ func (sc *scratch) selectKeptInto(t *tree, k int) []int {
 	return t.keep
 }
 
-// selectNodes returns the indices of up to k nodes with the highest path
-// probability, closed under ancestry. (Allocating wrapper over the
-// scratch-based selection, kept for tests and external callers.)
-func selectNodes(nodes []node, k int) []int {
-	sc := &scratch{}
-	t := &tree{nodes: nodes}
-	return append([]int(nil), sc.selectKeptInto(t, k)...)
-}
-
 // verifyNodeBuf runs chain-rule verification at one tree position. p is
 // the target distribution at the position (mutated in the all-rejected
 // case); candidates the drafted children (distinct tokens). Candidate x_i

@@ -79,15 +79,12 @@ type SaveStats struct {
 	// Blocking is the modelled time the trainer stalls: disk write for
 	// SyncFull, host staging copy for the async modes.
 	Blocking time.Duration
-	// WallBlocking is the measured wall time the call actually blocked.
-	WallBlocking time.Duration
 }
 
 // Save checkpoints the drafter. frozenBytes is the full-scale size of the
 // frozen layers (embedding + LM head) that SelectiveAsync filters out;
 // trainableBytes the full-scale size of the trainable decoder layer.
 func (c *Checkpointer) Save(e *draft.Eagle, trainableBytes, frozenBytes int64) (SaveStats, error) {
-	start := time.Now()
 	c.mu.Lock()
 	c.seq++
 	seq := c.seq
@@ -130,7 +127,6 @@ func (c *Checkpointer) Save(e *draft.Eagle, trainableBytes, frozenBytes int64) (
 		stats.Blocking = bytesToDur(stats.ModeledBytes, stageBWGBs)
 	}
 	stats.SavedBytes = int64(len(snap.Weights())) * 4
-	stats.WallBlocking = time.Since(start)
 	return stats, nil
 }
 

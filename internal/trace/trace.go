@@ -46,9 +46,9 @@
 // seqlock-style slot protocol built entirely from atomics, so recording
 // is wait-free, allocation-free, and race-detector-clean; Snapshot
 // returns the newest records, skipping any slot caught mid-overwrite.
-// The cluster health monitor snapshots a shard's ring into a Postmortem
-// whenever the shard degrades or dies, so every chaos fault leaves a
-// capture of what the shard was doing when it happened.
+// The cluster snapshots a shard's ring into a Postmortem whenever the
+// shard dies, so every chaos crash or hang leaves a capture of what the
+// shard was doing when it happened.
 package trace
 
 import (

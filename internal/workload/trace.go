@@ -190,24 +190,6 @@ func GenerateArrivals(cfg ArrivalConfig) []Arrival {
 	return out
 }
 
-// ScaleArrivalRate returns a copy of the trace with the arrival rate
-// multiplied by factor (inter-arrival times compressed by it), preserving
-// every arrival's task, length, and seed. factor > 1 turns a trace into a
-// heavier offered load, factor < 1 into a lull, without regenerating (or
-// reseeding) the workload — so a load sweep replays the identical request
-// population at different pressures.
-func ScaleArrivalRate(arrivals []Arrival, factor float64) []Arrival {
-	if factor <= 0 {
-		return nil
-	}
-	out := make([]Arrival, len(arrivals))
-	for i, a := range arrivals {
-		out[i] = a
-		out[i].At = time.Duration(float64(a.At) / factor)
-	}
-	return out
-}
-
 func maxOf(xs []int) int {
 	m := 0
 	for _, x := range xs {

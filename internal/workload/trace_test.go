@@ -75,30 +75,6 @@ func TestBurstShapeRaisesBurstWindowRate(t *testing.T) {
 	}
 }
 
-func TestScaleArrivalRate(t *testing.T) {
-	base := GenerateArrivals(arrivalConfig(3))
-	scaled := ScaleArrivalRate(base, 2)
-	if len(scaled) != len(base) {
-		t.Fatalf("scaling changed arrival count: %d vs %d", len(scaled), len(base))
-	}
-	for i := range base {
-		if scaled[i].At != base[i].At/2 {
-			t.Fatalf("arrival %d time not compressed: %v vs %v", i, scaled[i].At, base[i].At)
-		}
-		if scaled[i].Task != base[i].Task || scaled[i].TargetLen != base[i].TargetLen || scaled[i].Seed != base[i].Seed {
-			t.Fatalf("arrival %d attributes changed by scaling", i)
-		}
-	}
-	// Scaling must not mutate the input trace.
-	again := GenerateArrivals(arrivalConfig(3))
-	if !reflect.DeepEqual(base, again) {
-		t.Fatal("ScaleArrivalRate mutated its input")
-	}
-	if ScaleArrivalRate(base, 0) != nil {
-		t.Fatal("non-positive factor should yield nil")
-	}
-}
-
 func TestGenerateArrivalsDegenerateConfigs(t *testing.T) {
 	if GenerateArrivals(ArrivalConfig{}) != nil {
 		t.Fatal("zero config should yield nil")
