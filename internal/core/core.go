@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 
@@ -174,6 +175,13 @@ func New(cfg Config) (*System, error) {
 	if cfg.DrafterTrainEvery < 1 {
 		cfg.DrafterTrainEvery = 1
 	}
+	// The weight tables built below take tens of megabytes; the drafter's
+	// alone is 21.6 MB. Collecting first lets a process that builds one
+	// system after another, as the benchmark's set-ups do, reuse the
+	// memory of the system it dropped. Otherwise, whenever the previous
+	// set-up left too little garbage to start a collection before these
+	// allocations, both systems stay resident at once.
+	runtime.GC()
 	tk := tokenizer.New()
 	mcfg := model.DefaultConfig(tk.VocabSize(), cfg.Arch)
 	if cfg.ModelBuckets > 0 {

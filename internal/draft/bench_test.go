@@ -12,7 +12,7 @@ func BenchmarkEagleProbs(b *testing.B) {
 	lm, tk := newTarget(b)
 	e := NewEagle(EagleDefault(tk.VocabSize(), gpu.Qwen7B))
 	ctx := []int{tk.Bos(), tk.Digit(3), tk.MustID("+"), tk.Digit(4), tk.MustID("=")}
-	hidden := model.FusedHidden(lm, model.Context{Tokens: ctx, PromptLen: len(ctx)}, 2)
+	hidden := model.FusedHiddenInto(lm, model.Context{Tokens: ctx, PromptLen: len(ctx)}, 2, &model.HiddenState{}, model.NewScratch())
 	dst := make([]float32, tk.VocabSize())
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -293,3 +293,20 @@ func TestHarvestExamples(t *testing.T) {
 		t.Fatalf("expected nil for empty response, got %d", len(got))
 	}
 }
+
+// TestEagleTrainAllocsFlat: Train allocates its buffers once per call, so
+// its allocations must not grow with the example count, with rank dropout
+// and HASS unrolling on.
+func TestEagleTrainAllocsFlat(t *testing.T) {
+	lm, tk := newTarget(t)
+	examples := sampleCorpus(t, lm, tk, 8, 30, 1)
+	e := NewEagle(HASSConfig(tk.VocabSize(), gpu.Qwen7B))
+	rng := rand.New(rand.NewSource(3))
+	half := testing.AllocsPerRun(5, func() { e.Train(examples[:len(examples)/2], lm, rng) })
+	all := testing.AllocsPerRun(5, func() { e.Train(examples, lm, rng) })
+	if all > half || all > 8 {
+		t.Fatalf("Train allocates %.1f objects over %d examples and %.1f over %d, want the same and at most 8",
+			half, len(examples)/2, all, len(examples))
+	}
+	t.Logf("%.1f allocations per Train call over %d examples", all, len(examples))
+}

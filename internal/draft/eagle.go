@@ -249,15 +249,29 @@ func (e *Eagle) Train(examples []*Example, target *model.LM, rng *rand.Rand) Tra
 	}
 	q := make([]float32, e.cfg.Vocab)
 	grad := make([]float32, e.cfg.Vocab)
+	logits := make([]float32, e.cfg.Vocab)
+	// unroll's buffers: the target's distribution, and room for the
+	// longest context plus every unrolled token.
+	var tp []float32
+	var context []int
+	if e.cfg.UnrollSteps > 1 && target != nil {
+		longest := 0
+		for _, ex := range examples {
+			longest = max(longest, len(ex.Tokens))
+		}
+		tp = make([]float32, e.cfg.Vocab)
+		context = make([]int, 0, longest+e.cfg.UnrollSteps)
+	}
 	var featBuf [80]int
+	var dropped model.HiddenState
 	var ceSum float64
 	for _, ex := range examples {
 		hid := ex.Hidden
 		if e.cfg.RankDropout > 0 && hid != nil && rng != nil && rng.Float64() < e.cfg.RankDropout {
-			hid = &model.HiddenState{Sketch: hid.Sketch}
+			dropped = model.HiddenState{Sketch: hid.Sketch}
+			hid = &dropped
 		}
 		feats := e.features(ex.Tokens, ex.PromptLen, hid, featBuf[:0])
-		logits := make([]float32, e.cfg.Vocab)
 		e.table.Accumulate(feats, logits)
 		model.Softmax(logits, 1, q)
 		stats.ForwardPasses++
@@ -265,8 +279,8 @@ func (e *Eagle) Train(examples []*Example, target *model.LM, rng *rand.Rand) Tra
 
 		e.applyGrad(feats, q, grad, ex)
 
-		if e.cfg.UnrollSteps > 1 && target != nil {
-			e.unroll(ex, target, q, grad, rng, &stats)
+		if tp != nil {
+			e.unroll(ex, target, q, grad, logits, tp, context, rng, &stats)
 		}
 	}
 	e.Version++
@@ -295,17 +309,13 @@ func (e *Eagle) applyGrad(feats []int, q []float32, grad []float32, ex *Example)
 // stale root hidden), supervised by the target model's distribution at
 // each unrolled position. This teaches the drafter to stay aligned at
 // deeper draft indices, at the cost of extra target forward passes.
-func (e *Eagle) unroll(ex *Example, target *model.LM, q, grad []float32, rng *rand.Rand, stats *TrainStats) {
-	ctxLen := len(ex.Tokens)
-	extended := make([]int, ctxLen, ctxLen+e.cfg.UnrollSteps)
-	copy(extended, ex.Tokens)
+func (e *Eagle) unroll(ex *Example, target *model.LM, q, grad, logits, tp []float32, context []int, rng *rand.Rand, stats *TrainStats) {
+	extended := append(context[:0], ex.Tokens...)
 	extended = append(extended, ex.TargetTok)
-	tp := make([]float32, e.cfg.Vocab)
 	var featBuf [80]int
-	unrollHidden := &model.HiddenState{Sketch: ex.Hidden.Sketch}
+	unrollHidden := model.HiddenState{Sketch: ex.Hidden.Sketch}
 	for step := 1; step < e.cfg.UnrollSteps; step++ {
-		feats := e.features(extended, ex.PromptLen, unrollHidden, featBuf[:0])
-		logits := make([]float32, e.cfg.Vocab)
+		feats := e.features(extended, ex.PromptLen, &unrollHidden, featBuf[:0])
 		e.table.Accumulate(feats, logits)
 		model.Softmax(logits, 1, q)
 		stats.ForwardPasses++

@@ -65,12 +65,12 @@ func (s *SmallLM) Distill(examples []*Example, lr float64, soft bool) float64 {
 	vocab := s.lm.Config().Vocab
 	q := make([]float32, vocab)
 	grad := make([]float32, vocab)
+	logits := make([]float32, vocab)
 	var featBuf [8]int
 	var ceSum float64
 	for _, ex := range examples {
 		ctx := model.Context{Tokens: ex.Tokens, PromptLen: ex.PromptLen}
 		feats := s.lm.Features(ctx, featBuf[:0])
-		logits := make([]float32, vocab)
 		s.lm.Table().Accumulate(feats, logits)
 		model.Softmax(logits, 1, q)
 		ceSum += -math.Log(float64(q[ex.TargetTok]) + 1e-12)

@@ -78,27 +78,58 @@ func BenchmarkGenerate64(b *testing.B) {
 	}
 }
 
+// The table and softmax benchmarks run at the Eagle drafter's shape (see
+// drafterShape), with a kernel sub-benchmark through the dispatched entry
+// point and a go sub-benchmark through the reference loop, so one binary
+// reports the one against the other.
+
 func BenchmarkTableAccumulate(b *testing.B) {
-	tb := NewTable(1<<14, 97)
-	feats := []int{3, 99, 2048, 8000, 16000}
-	dst := make([]float32, 97)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.Accumulate(feats, dst)
-	}
+	tb, feats, _ := drafterShape()
+	dst := make([]float32, tb.Vocab)
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tb.Accumulate(feats, dst)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tb.accumulateGo(feats, dst, 0)
+		}
+	})
+}
+
+func BenchmarkTableAddGrad(b *testing.B) {
+	tb, feats, grad := drafterShape()
+	const lr = 1e-6 // keeps the weights finite over any b.N
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tb.AddGrad(feats, grad, lr)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tb.addGradGo(feats, grad, lr, 0)
+		}
+	})
 }
 
 func BenchmarkSoftmax(b *testing.B) {
-	logits := make([]float32, 97)
-	rng := rand.New(rand.NewSource(2))
-	for i := range logits {
-		logits[i] = float32(rng.NormFloat64() * 3)
-	}
-	probs := make([]float32, 97)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Softmax(logits, 0.9, probs)
-	}
+	_, _, logits := drafterShape()
+	probs := make([]float32, len(logits))
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Softmax(logits, 0.9, probs)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			softmaxGo(logits, 0.9, probs)
+		}
+	})
 }

@@ -20,19 +20,11 @@ type HiddenState struct {
 	TopTokens []int
 }
 
-// FusedHidden computes the drafting-root hidden state with the given
-// number of fused sketches (Eagle uses 1, Eagle-3 2; callers typically
-// request 2 so either drafter can consume it).
-func FusedHidden(m *LM, ctx Context, sketches int) *HiddenState {
-	sc := scratchPool.Get().(*Scratch)
-	h := FusedHiddenInto(m, ctx, sketches, &HiddenState{}, sc)
-	scratchPool.Put(sc)
-	return h
-}
-
-// FusedHiddenInto is FusedHidden writing into h, reusing its Sketch and
-// TopTokens buffers so a speculation engine computes the drafting-root
-// state every round without allocating.
+// FusedHiddenInto computes the drafting-root hidden state with the given
+// number of fused sketches into h (Eagle uses 1, Eagle-3 2; callers
+// typically request 2 so either drafter can consume it). It reuses h's
+// Sketch and TopTokens buffers, so a speculation engine computes the
+// drafting-root state every round without allocating.
 func FusedHiddenInto(m *LM, ctx Context, sketches int, h *HiddenState, sc *Scratch) *HiddenState {
 	if sketches < 1 {
 		sketches = 1
@@ -45,7 +37,9 @@ func FusedHiddenInto(m *LM, ctx Context, sketches int, h *HiddenState, sc *Scrat
 	for i := range h.Sketch {
 		h.Sketch[i] = 0
 	}
-	for s := 0; s < sketches; s++ {
+	probs := sc.probsBuf(m.cfg.Vocab)
+	m.HiddenProbsScratch(ctx, h.Sketch[:HiddenDim], probs, sc)
+	for s := 1; s < sketches; s++ {
 		n := len(ctx.Tokens) - s
 		if n < 0 {
 			break
@@ -53,8 +47,6 @@ func FusedHiddenInto(m *LM, ctx Context, sketches int, h *HiddenState, sc *Scrat
 		sub := Context{Tokens: ctx.Tokens[:n], PromptLen: ctx.PromptLen}
 		m.HiddenScratch(sub, h.Sketch[s*HiddenDim:(s+1)*HiddenDim], sc)
 	}
-	probs := sc.probsBuf(m.cfg.Vocab)
-	m.ProbsScratch(ctx, nil, 1, probs, sc)
 	h.TopTokens = TopKInto(probs, NumRankTokens, h.TopTokens[:0])
 	return h
 }

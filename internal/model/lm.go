@@ -1,7 +1,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -240,13 +239,13 @@ func (m *LM) PolicyGradientStep(ctx Context, advantage float64, lr float64, temp
 	probs := make([]float32, m.cfg.Vocab)
 	refProbs := make([]float32, m.cfg.Vocab)
 	grad := make([]float32, m.cfg.Vocab)
+	logits := make([]float32, m.cfg.Vocab)
 	var featBuf [maxFeatures]int
 	var klSum float64
 	var klN int
 	for pos := promptLen; pos < len(tokens); pos++ {
 		sub := Context{Tokens: tokens[:pos], PromptLen: promptLen}
 		feats := m.Features(sub, featBuf[:0])
-		logits := make([]float32, m.cfg.Vocab)
 		m.table.Accumulate(feats, logits)
 		Softmax(logits, temp, probs)
 		tok := tokens[pos]
@@ -377,5 +376,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-var _ = fmt.Sprintf

@@ -54,8 +54,8 @@ func (s *Scratch) sortedBiasIDs(bias map[int]float32) []int {
 	return ids
 }
 
-// scratchPool backs the scratch-free convenience wrappers (Probs, Hidden,
-// FusedHidden) so concurrent callers without an engine-owned scratch stay
+// scratchPool backs the scratch-free convenience wrappers (Probs, Hidden)
+// so concurrent callers without an engine-owned scratch stay
 // allocation-free in steady state.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
@@ -203,6 +203,20 @@ func samePrompt(a, b []int) bool {
 // HiddenScratch computes the hidden-state sketch like Hidden with
 // caller-owned scratch, allocation-free.
 func (m *LM) HiddenScratch(ctx Context, dst []float32, sc *Scratch) {
+	m.sketchLogits(ctx, dst, sc)
+}
+
+// HiddenProbsScratch computes ctx's hidden sketch into sketch and its
+// next-token distribution at temperature 1 into probs from one logits
+// accumulation. The values equal HiddenScratch's and ProbsScratch's with
+// a nil bias.
+func (m *LM) HiddenProbsScratch(ctx Context, sketch, probs []float32, sc *Scratch) {
+	Softmax(m.sketchLogits(ctx, sketch, sc), 1, probs)
+}
+
+// sketchLogits accumulates ctx's logits into sc, projects them into the
+// hidden sketch dst and returns them.
+func (m *LM) sketchLogits(ctx Context, dst []float32, sc *Scratch) []float32 {
 	if len(dst) != HiddenDim {
 		panic("model: hidden buffer has wrong length")
 	}
@@ -230,4 +244,5 @@ func (m *LM) HiddenScratch(ctx Context, dst []float32, sc *Scratch) {
 		}
 		dst[d] = tanh32((s0 + s1 + s2 + s3) / float32(m.cfg.Vocab))
 	}
+	return logits
 }

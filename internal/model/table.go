@@ -8,6 +8,15 @@
 // probability distribution per step, genuine distribution shift under RL
 // policy-gradient updates, and an internal "hidden state" that Eagle-style
 // drafters can condition on.
+//
+// Three loops dominate the host cost of training and drafting:
+// Table.Accumulate, Table.AddGrad and Softmax. On amd64 CPUs with AVX2
+// they run hand-written kernels (kernels_amd64.s), chosen once at start-up
+// from CPUID, that reproduce the Go loops in table.go bit for bit. The Go
+// loops stay as the reference and run everywhere else: on other
+// architectures, on CPUs without AVX2, and in builds tagged purego or
+// built with -race, since the race detector cannot see memory that
+// assembly touches.
 package model
 
 import (
@@ -47,16 +56,29 @@ func (t *Table) Row(r int) []float32 {
 }
 
 // Accumulate adds the given feature rows (plus the bias row 0) into dst,
-// which must have length Vocab. dst is zeroed first. The add loop is
-// unrolled four-wide: row accumulation is the inner loop of every forward
-// pass and the independent lanes break the dependent-add chain.
+// which must have length Vocab; dst's old contents are overwritten. Every
+// feature must index a row of the table.
+//
+// Lane v of dst becomes row0[v] + f1[v] + f2[v] + ..., added in feature
+// order, one float32 rounding per add. The AVX2 kernel keeps that order in
+// every lane, so it reproduces accumulateGo, the reference, bit for bit.
 func (t *Table) Accumulate(features []int, dst []float32) {
 	if len(dst) != t.Vocab {
 		panic("model: logits buffer has wrong length")
 	}
-	copy(dst, t.Row(0))
+	t.checkRows(features)
+	accumulate(t, features, dst)
+}
+
+// accumulateGo is the reference Accumulate over lanes [lo, Vocab) of dst.
+// It is the whole of Accumulate where the AVX2 kernel is unavailable, and
+// the kernel's tail of Vocab mod 8 lanes where it is available.
+func (t *Table) accumulateGo(features []int, dst []float32, lo int) {
+	dst = dst[lo:t.Vocab]
+	copy(dst, t.w[lo:t.Vocab])
 	for _, f := range features {
-		row := t.Row(f)[:len(dst)]
+		row := t.w[f*t.Vocab+lo : (f+1)*t.Vocab]
+		row = row[:len(dst)]
 		v := 0
 		for ; v+4 <= len(dst); v += 4 {
 			d := dst[v : v+4 : v+4]
@@ -72,18 +94,46 @@ func (t *Table) Accumulate(features []int, dst []float32) {
 	}
 }
 
-// AddGrad applies dst-row updates: for every active feature row (and the
-// bias row), w[f][v] += lr * grad[v].
+// AddGrad applies dst-row updates: for the bias row and then every
+// feature row in order, w[f][v] += lr * grad[v]. grad must have length
+// Vocab, and every feature must index a row of the table. A repeated
+// feature is updated once per occurrence.
+//
+// Each update rounds twice, once for lr*grad[v] and once for the add; the
+// AVX2 kernel does the same and so reproduces addGradGo bit for bit.
 func (t *Table) AddGrad(features []int, grad []float32, lr float32) {
+	if len(grad) != t.Vocab {
+		panic("model: gradient has wrong length")
+	}
+	t.checkRows(features)
+	addGrad(t, features, grad, lr)
+}
+
+// addGradGo is the reference AddGrad over lanes [lo, Vocab), as
+// accumulateGo is for Accumulate. The float32 conversion forbids fusing
+// the multiply into the add, which would round once.
+func (t *Table) addGradGo(features []int, grad []float32, lr float32, lo int) {
+	grad = grad[lo:t.Vocab]
 	apply := func(r int) {
-		row := t.Row(r)
+		row := t.w[r*t.Vocab+lo : (r+1)*t.Vocab]
 		for v := range row {
-			row[v] += lr * grad[v]
+			row[v] += float32(lr * grad[v])
 		}
 	}
 	apply(0)
 	for _, f := range features {
 		apply(f)
+	}
+}
+
+// checkRows panics unless every feature indexes a row of t. The kernels
+// do no bounds checks, so an out-of-range feature must stop here instead
+// of reading or writing another row.
+func (t *Table) checkRows(features []int) {
+	for _, f := range features {
+		if uint(f) >= uint(t.Rows) {
+			panic(fmt.Sprintf("model: feature row %d outside a table of %d rows", f, t.Rows))
+		}
 	}
 }
 
@@ -122,10 +172,20 @@ func (t *Table) L2Distance(o *Table) float64 {
 // Softmax writes softmax(logits/temp) into probs. A temperature of zero
 // (or below) produces a one-hot argmax distribution, matching greedy
 // decoding semantics.
+//
+// The AVX2 kernel computes the exponentials and the final scaling eight
+// lanes at a time with expf's float32 operations in expf's order, and
+// leaves the max scan, the sum and the lanes it cannot take to the Go
+// code, so it reproduces softmaxGo, the reference, bit for bit.
 func Softmax(logits []float32, temp float64, probs []float32) {
 	if len(probs) != len(logits) {
 		panic("model: probs buffer has wrong length")
 	}
+	softmax(logits, temp, probs)
+}
+
+// softmaxGo is the reference Softmax.
+func softmaxGo(logits []float32, temp float64, probs []float32) {
 	if temp <= 0 {
 		best := 0
 		for i, l := range logits {
@@ -139,12 +199,7 @@ func Softmax(logits []float32, temp float64, probs []float32) {
 		probs[best] = 1
 		return
 	}
-	maxL := logits[0]
-	for _, l := range logits[1:] {
-		if l > maxL {
-			maxL = l
-		}
-	}
+	maxL := maxLogit(logits)
 	invTemp := float32(1 / temp)
 	// Two accumulator lanes: exp values are positive and bounded by 1
 	// (max-shifted), so float32 summation over a vocabulary is exact to
@@ -170,26 +225,54 @@ func Softmax(logits []float32, temp float64, probs []float32) {
 	}
 }
 
+// maxLogit returns the largest of logits, scanning in index order.
+func maxLogit(logits []float32) float32 {
+	maxL := logits[0]
+	for _, l := range logits[1:] {
+		if l > maxL {
+			maxL = l
+		}
+	}
+	return maxL
+}
+
+// expf's constants. expAVX2 reads them through expTab, rounded to float32
+// from these same values, so the scalar and vector paths agree.
+const (
+	expLog2e = 1.44269504088896341
+	expLn2Hi = 6.93359375e-1
+	expLn2Lo = -2.12194440e-4
+	expP0    = 1.9875691500e-4
+	expP1    = 1.3981999507e-3
+	expP2    = 8.3334519073e-3
+	expP3    = 4.1665795894e-2
+	expP4    = 1.6666665459e-1
+	expP5    = 5.0000001201e-1
+	// expUnder is where e^x is flushed to zero.
+	expUnder = -87.3
+)
+
 // expf is a fast float32 e^x (cephes-style degree-5 minimax after
 // range reduction, relative error ~2e-7). Softmax is the single hottest
 // function in a speculation round — every drafted node and every verified
 // tree position pays one softmax over the vocabulary — and the float64
 // library exp was a large fraction of its cost. Inputs here are max-shifted
 // (x <= 0), but the full float32 range is handled.
+//
+// expf is also the bit-exact contract of the AVX2 exponential: that kernel
+// performs these float32 operations in this order lane by lane, and
+// leaves inputs above 88 and NaN to this function. The float32
+// conversions forbid fusing a multiply into the following add or
+// subtract, which would round once where this code rounds twice.
 func expf(x float32) float32 {
-	const (
-		log2e = 1.44269504088896341
-		ln2Hi = 6.93359375e-1
-		ln2Lo = -2.12194440e-4
-	)
-	if x < -87.3 {
+	if x < expUnder {
 		return 0
 	}
 	if x > 88.73 { // just above ln(MaxFloat32); below it the split scale stays finite
 		return float32(math.Inf(1))
 	}
 	// n = round(x/ln2); r = x - n*ln2 in [-ln2/2, ln2/2].
-	z := x * log2e
+	z := x * expLog2e
 	var n int32
 	if z >= 0 {
 		n = int32(z + 0.5)
@@ -197,16 +280,16 @@ func expf(x float32) float32 {
 		n = int32(z - 0.5)
 	}
 	fn := float32(n)
-	r := x - fn*ln2Hi
-	r -= fn * ln2Lo
+	r := x - float32(fn*expLn2Hi)
+	r -= float32(fn * expLn2Lo)
 	// exp(r) ~ 1 + r + r^2*P(r).
-	p := float32(1.9875691500e-4)
-	p = p*r + 1.3981999507e-3
-	p = p*r + 8.3334519073e-3
-	p = p*r + 4.1665795894e-2
-	p = p*r + 1.6666665459e-1
-	p = p*r + 5.0000001201e-1
-	y := p*r*r + r + 1
+	p := float32(expP0)
+	p = float32(p*r) + expP1
+	p = float32(p*r) + expP2
+	p = float32(p*r) + expP3
+	p = float32(p*r) + expP4
+	p = float32(p*r) + expP5
+	y := float32(float32(p*r)*r) + r + 1
 	// Scale by 2^n via the exponent bits; n in [-126, 128] after clamps.
 	// The extremes are split into two factors: a single 2^128 (or a
 	// subnormal 2^n) is not representable even when the product is.
