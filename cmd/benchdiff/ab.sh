@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# Same-runner A/B gate: builds the pinned benchmarks' test binaries in two
+# trees of this module, runs them in interleaved pairs on this machine and
+# lets benchdiff judge the result.
+#
+#   bash cmd/benchdiff/ab.sh <base-tree> <head-tree>
+#
+# Run it from the directory that should hold the output: the build cache,
+# the binaries and both sides' raw `-test.bench` text go to .bench_build/ab/
+# under it. It exits non-zero when benchdiff finds a regression.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+	echo "usage: bash cmd/benchdiff/ab.sh <base-tree> <head-tree>" >&2
+	exit 2
+fi
+base=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+src=$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)
+out="$(pwd)/.bench_build/ab"
+
+# The pinned set follows the rl-longtail CPU profile (spot training 43%,
+# the scheduler step 33%, harvest 16%) plus the serving path. One line per
+# package under internal/: the package, then the exact names of its pinned
+# benchmarks.
+pinned=(
+	"sched BenchmarkBatchStep BenchmarkBatchStep16 BenchmarkBatchStep64"
+	"specdec BenchmarkSpecRound BenchmarkVanillaStep BenchmarkStepBatch"
+	"draft BenchmarkEagleTrainBatch BenchmarkHarvestExamples"
+	"serving BenchmarkStreamServe"
+	"prefixcache BenchmarkLookup"
+	"metrics BenchmarkHistogramRecord"
+)
+# Twenty pairs let the nine-in-ten rule fail a clear slowdown while a 0.25 s
+# sample keeps a run within a few minutes on two cores. One CPU keeps the
+# samples free of scheduling between goroutines.
+pairs=20
+benchtime=0.25s
+cpu=1
+
+rm -rf "$out/base" "$out/head" "$out/base.txt" "$out/head.txt"
+mkdir -p "$out/base" "$out/head" "$out/tmp"
+# Keep the toolchain offline and every file it writes under $out, and let
+# no setting from the caller's environment change the build.
+export GOCACHE="$out/gocache" XDG_CONFIG_HOME="$out/config" GOTMPDIR="$out/tmp" TMPDIR="$out/tmp"
+export GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off
+
+(cd "$src" && go build -o "$out/benchdiff" .)
+patterns=()
+for entry in "${pinned[@]}"; do
+	read -r pkg names <<<"$entry"
+	for side in base head; do
+		tree=${!side}
+		(cd "$tree" && go test -c -o "$out/$side/$pkg.test" "./internal/$pkg")
+	done
+	for name in $names; do
+		patterns+=("^$name\$")
+	done
+done
+
+# runside <side> <pkg> <names>: one sample of each named benchmark, run
+# from the package directory like go test does.
+runside() {
+	local tree=${!1}
+	(cd "$tree/internal/$2" && "$out/$1/$2.test" -test.run '^$' -test.bench "^(${3// /|})\$" \
+		-test.benchmem -test.benchtime "$benchtime" -test.cpu "$cpu" -test.timeout 10m) >>"$out/$1.txt"
+}
+
+start=$SECONDS
+for ((i = 1; i <= pairs; i++)); do
+	for entry in "${pinned[@]}"; do
+		read -r pkg names <<<"$entry"
+		if ((i % 2)); then
+			runside base "$pkg" "$names"
+			runside head "$pkg" "$names"
+		else
+			runside head "$pkg" "$names"
+			runside base "$pkg" "$names"
+		fi
+	done
+	echo "ab.sh: pair $i/$pairs done after $((SECONDS - start)) s" >&2
+done
+
+"$out/benchdiff" "$out/base.txt" "$out/head.txt" "${patterns[@]}"

@@ -1,143 +1,240 @@
-// Command benchdiff compares the pinned hot-path sections of two
-// BENCH_<date>.json snapshots (written by `tltbench -json` /
-// `-json-out`) and exits non-zero when the newer one regresses:
+// Command benchdiff compares interleaved runs of the same Go benchmarks
+// on two trees and exits non-zero when the head tree regresses:
 //
-//	benchdiff BENCH_2026-08-08.json bench_head.json
-//	benchdiff -tol 0.25 old.json new.json
+//	benchdiff [-tol 0.10] <base.txt> <head.txt> [pinned-regexp ...]
 //
-// The gate is asymmetric on purpose. allocs/op on the pinned hot paths
-// is deterministic — any increase is a real regression and fails
-// immediately, tolerance-free. ns/op carries machine noise, so it only
-// fails beyond -tol (default 10%). A hot-path entry present in the
-// baseline but missing from the head snapshot also fails: silently
-// dropping a pinned benchmark is how regressions go unmeasured. Entries
-// new in the head are reported and pass — that's how new pins land.
+// Each file holds the standard output of `go test -bench -benchmem`, or
+// of test binaries run with -test.bench and -test.benchmem, with runs
+// appended. The k-th sample of a benchmark in the base file and the k-th
+// sample of that name in the head file form pair k, so the two files
+// must be written side by side, alternating which side runs first;
+// cmd/benchdiff/ab.sh does that.
 //
-// Only the hot_path section gates. The experiments section is whole-run
-// wall time (useful trajectory data, far too noisy to gate on) and the
-// figures section is checked by the per-experiment acceptance tests.
+// The verdict is asymmetric on purpose. allocs/op is deterministic on
+// the pinned paths, so any increase of its median fails. ns/op carries
+// machine noise, so it fails only on a clear slowdown: head slower in at
+// least nine of ten pairs and a median per-pair ratio beyond 1 + -tol.
+// A benchmark in base that head lacks fails, because dropping a pinned
+// benchmark is how regressions go unmeasured; one only in head is
+// reported as new and not gated. Each pinned regexp must match some
+// benchmark in head, so a typo in the pinned list cannot gate nothing.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
-
-	"fastrl/internal/experiments"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// snapshot is the subset of the BENCH_<date>.json document benchdiff
-// reads; unknown fields are ignored so old and new snapshot layouts both
-// parse.
-type snapshot struct {
-	Date    string                  `json:"date"`
-	HotPath []experiments.PerfEntry `json:"hot_path"`
+// sample is one benchmark result line. Other units on the line, such as
+// B/op or a b.ReportMetric unit, are not gated and are dropped.
+type sample struct {
+	name   string
+	ns     float64 // ns/op
+	allocs float64 // allocs/op
 }
 
-func load(path string) (snapshot, error) {
-	var s snapshot
+// parseLine parses one line of benchmark output. ok is false for lines
+// that are not results (headers, PASS, logs). A line that starts like a
+// result but is malformed, or lacks a positive ns/op or an allocs/op, is
+// an error: the text comes from another process and may be truncated.
+func parseLine(line string) (s sample, ok bool, err error) {
+	if !strings.HasPrefix(line, "Benchmark") {
+		return sample{}, false, nil
+	}
+	f := strings.Fields(line)
+	if len(f) < 2 {
+		return sample{}, false, fmt.Errorf("benchmark line without results: %q", line)
+	}
+	if n, err := strconv.Atoi(f[1]); err != nil || n <= 0 {
+		return sample{}, false, fmt.Errorf("benchmark line without a positive iteration count: %q", line)
+	}
+	if len(f)%2 != 0 {
+		return sample{}, false, fmt.Errorf("benchmark line with a value but no unit: %q", line)
+	}
+	s = sample{name: f[0], ns: math.NaN(), allocs: math.NaN()}
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return sample{}, false, fmt.Errorf("benchmark line with a bad value %q: %q", f[i], line)
+		}
+		switch f[i+1] {
+		case "ns/op":
+			s.ns = v
+		case "allocs/op":
+			s.allocs = v
+		}
+	}
+	if !(s.ns > 0) || math.IsInf(s.ns, 1) {
+		return sample{}, false, fmt.Errorf("benchmark line without a positive finite ns/op: %q", line)
+	}
+	if !(s.allocs >= 0) || math.IsInf(s.allocs, 1) {
+		return sample{}, false, fmt.Errorf("benchmark line without a non-negative finite allocs/op (run with -benchmem): %q", line)
+	}
+	return s, true, nil
+}
+
+// parse returns the benchmark samples of data in file order.
+func parse(data []byte) ([]sample, error) {
+	var out []sample
+	for i, line := range strings.Split(string(data), "\n") {
+		s, ok, err := parseLine(strings.TrimSuffix(line, "\r"))
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", i+1, err)
+		}
+		if ok {
+			out = append(out, s)
+		}
+	}
+	return out, nil
+}
+
+// series is one benchmark's samples in file order.
+type series struct{ ns, allocs []float64 }
+
+// group collects samples by name, with names in order of first
+// appearance.
+func group(samples []sample) ([]string, map[string]*series) {
+	var names []string
+	by := map[string]*series{}
+	for _, s := range samples {
+		sr := by[s.name]
+		if sr == nil {
+			sr = &series{}
+			by[s.name] = sr
+			names = append(names, s.name)
+		}
+		sr.ns = append(sr.ns, s.ns)
+		sr.allocs = append(sr.allocs, s.allocs)
+	}
+	return names, by
+}
+
+func median(v []float64) float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// compare writes one line per benchmark, then one per failure, to w and
+// returns the number of failures.
+func compare(w io.Writer, base, head []sample, pinned []*regexp.Regexp, tol float64) int {
+	baseNames, baseBy := group(base)
+	headNames, headBy := group(head)
+	var fails []string
+	fmt.Fprintf(w, "%-28s %7s %12s %12s %7s  %s\n",
+		"benchmark", "slower", "base ns/op", "head ns/op", "ratio", "allocs/op")
+	for _, name := range baseNames {
+		b, h := baseBy[name], headBy[name]
+		if h == nil {
+			fails = append(fails, name+": missing from head")
+			continue
+		}
+		n := len(b.ns)
+		if len(h.ns) != n {
+			fails = append(fails, fmt.Sprintf("%s: %d base samples and %d head samples do not pair", name, n, len(h.ns)))
+			continue
+		}
+		ratios := make([]float64, n)
+		slower := 0
+		for k := range ratios {
+			ratios[k] = h.ns[k] / b.ns[k]
+			if ratios[k] > 1 {
+				slower++
+			}
+		}
+		ratio := median(ratios)
+		ba, ha := median(b.allocs), median(h.allocs)
+		fmt.Fprintf(w, "%-28s %3d/%-3d %12.1f %12.1f %7.3f  %g → %g\n",
+			name, slower, n, median(b.ns), median(h.ns), ratio, ba, ha)
+		if ha > ba {
+			fails = append(fails, fmt.Sprintf("%s: allocs/op median %g → %g", name, ba, ha))
+		}
+		if 10*slower >= 9*n && ratio > 1+tol {
+			fails = append(fails, fmt.Sprintf("%s: head slower in %d of %d pairs at a median ratio of %.3f, beyond %.3f",
+				name, slower, n, ratio, 1+tol))
+		}
+	}
+	for _, name := range headNames {
+		if h := headBy[name]; baseBy[name] == nil {
+			fmt.Fprintf(w, "%-28s new in head, not gated: %d samples, median %.1f ns/op, %g allocs/op\n",
+				name, len(h.ns), median(h.ns), median(h.allocs))
+		}
+	}
+	for _, re := range pinned {
+		matched := false
+		for _, name := range headNames {
+			matched = matched || re.MatchString(name)
+		}
+		if !matched {
+			fails = append(fails, fmt.Sprintf("pinned pattern %q matches no benchmark in head", re))
+		}
+	}
+	for _, f := range fails {
+		fmt.Fprintln(w, "FAIL:", f)
+	}
+	return len(fails)
+}
+
+func load(path string) ([]sample, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return s, err
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
+	samples, err := parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(s.HotPath) == 0 {
-		return s, fmt.Errorf("%s: no hot_path section (not a tltbench -json snapshot?)", path)
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark lines", path)
 	}
-	return s, nil
+	return samples, nil
+}
+
+// run loads both files, compiles the pinned patterns and compares.
+func run(w io.Writer, basePath, headPath string, patterns []string, tol float64) (failures int, err error) {
+	base, err := load(basePath)
+	if err != nil {
+		return 0, err
+	}
+	head, err := load(headPath)
+	if err != nil {
+		return 0, err
+	}
+	pinned := make([]*regexp.Regexp, len(patterns))
+	for i, p := range patterns {
+		if pinned[i], err = regexp.Compile(p); err != nil {
+			return 0, fmt.Errorf("pinned pattern: %w", err)
+		}
+	}
+	return compare(w, base, head, pinned, tol), nil
 }
 
 func main() {
-	tol := flag.Float64("tol", 0.10, "ns/op regression tolerance as a fraction (0.10 = +10%); allocs/op increases always fail")
+	tol := flag.Float64("tol", 0.10, "ns/op tolerance on the median per-pair ratio (0.10 = +10%); allocs/op increases always fail")
 	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tol 0.10] <baseline.json> <head.json>")
+	if flag.NArg() < 2 {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tol 0.10] <base.txt> <head.txt> [pinned-regexp ...]")
 		os.Exit(2)
 	}
-	old, err := load(flag.Arg(0))
+	failures, err := run(os.Stdout, flag.Arg(0), flag.Arg(1), flag.Args()[2:], *tol)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	head, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
-	}
-
-	byName := make(map[string]experiments.PerfEntry, len(head.HotPath))
-	for _, e := range head.HotPath {
-		byName[e.Name] = e
-	}
-
-	fmt.Printf("hot-path diff: %s (%s) -> %s (%s), ns/op tolerance %+.0f%%\n\n",
-		flag.Arg(0), old.Date, flag.Arg(1), head.Date, 100**tol)
-	fmt.Printf("%-32s %14s %14s %8s %10s %10s\n",
-		"name", "ns/op old", "ns/op new", "delta", "allocs old", "allocs new")
-	failures := 0
-	var dropped []string
-	for _, o := range old.HotPath {
-		n, ok := byName[o.Name]
-		if !ok {
-			fmt.Printf("%-32s MISSING from head snapshot — pinned benchmark dropped\n", o.Name)
-			dropped = append(dropped, o.Name)
-			failures++
-			continue
-		}
-		delete(byName, o.Name)
-		delta := 0.0
-		if o.NsPerOp > 0 {
-			delta = (n.NsPerOp - o.NsPerOp) / o.NsPerOp
-		}
-		verdict := ""
-		if n.AllocsPerOp > o.AllocsPerOp {
-			verdict = fmt.Sprintf("  FAIL: allocs/op %d -> %d", o.AllocsPerOp, n.AllocsPerOp)
-			failures++
-		} else if delta > *tol {
-			verdict = fmt.Sprintf("  FAIL: ns/op %+.1f%% beyond %.0f%%", 100*delta, 100**tol)
-			failures++
-		}
-		fmt.Printf("%-32s %14.0f %14.0f %+7.1f%% %10d %10d%s\n",
-			o.Name, o.NsPerOp, n.NsPerOp, 100*delta, o.AllocsPerOp, n.AllocsPerOp, verdict)
-	}
-	// Entries only in head are new pins. They cannot gate on this run —
-	// there is nothing to compare against — so say that loudly rather
-	// than letting a terse tag read like a passing comparison: a new
-	// entry's numbers are informational until a baseline snapshot
-	// containing it is committed, at which point it gates like any other
-	// pin.
-	newEntries := 0
-	for _, e := range head.HotPath {
-		if _, stillNew := byName[e.Name]; stillNew {
-			newEntries++
-			fmt.Printf("%-32s %14s %14.0f %8s %10s %10d  NEW: no baseline entry — not gated this run\n",
-				e.Name, "-", e.NsPerOp, "-", "-", e.AllocsPerOp)
-		}
-	}
-	if newEntries > 0 {
-		fmt.Printf("\n%d new entr%s without a baseline: numbers above are informational only; regenerate and commit the baseline snapshot to start gating %s\n",
-			newEntries, plural(newEntries, "y", "ies"), plural(newEntries, "it", "them"))
-	}
-
 	if failures > 0 {
-		// Name every dropped pin in the terminal summary: the per-entry
-		// line scrolls away in CI logs, and "which benchmark disappeared"
-		// is the first question a red gate gets asked.
-		for _, name := range dropped {
-			fmt.Printf("\nbenchdiff: pinned hot-path entry %q disappeared from the head snapshot — restore the benchmark or regenerate both snapshots deliberately\n", name)
-		}
-		fmt.Printf("\nbenchdiff: %d regression(s)\n", failures)
+		fmt.Printf("\nbenchdiff: %d failure(s)\n", failures)
 		os.Exit(1)
 	}
 	fmt.Println("\nbenchdiff: no regressions")
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -3,51 +3,23 @@
 //
 //	tltbench -exp fig11
 //	tltbench -exp all -quick
-//	tltbench -exp all -quick -json   // also write BENCH_<date>.json
+//	tltbench -exp batching -quick -trace batching_trace.json
+//
+// The figures report the simulated device's virtual time. The host's own
+// cost is measured by the package benchmarks, which cmd/benchdiff/ab.sh
+// compares between two trees on one machine.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"fastrl/internal/experiments"
 	"fastrl/internal/trace"
 )
-
-// expPerf records one experiment's cost in the -json snapshot: wall time
-// plus heap allocation deltas from runtime.MemStats (each experiment run
-// counts as one "op").
-type expPerf struct {
-	ID     string `json:"id"`
-	Ns     int64  `json:"ns_per_op"`
-	Allocs uint64 `json:"allocs_per_op"`
-	Bytes  uint64 `json:"bytes_per_op"`
-}
-
-// expFigure records one experiment's headline values (e.g. per-policy
-// P50/P95, shed rate, utilisation for -exp cluster) so the snapshot tracks
-// what the figures say, not just what they cost.
-type expFigure struct {
-	ID      string             `json:"id"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// benchSnapshot is the BENCH_<date>.json document tracking the repo's
-// perf trajectory in-tree.
-type benchSnapshot struct {
-	Date        string                  `json:"date"`
-	GoVersion   string                  `json:"go_version"`
-	GOMAXPROCS  int                     `json:"gomaxprocs"`
-	Quick       bool                    `json:"quick"`
-	Experiments []expPerf               `json:"experiments"`
-	Figures     []expFigure             `json:"figures,omitempty"`
-	HotPath     []experiments.PerfEntry `json:"hot_path"`
-}
 
 // writeAndValidateTrace persists an experiment's Chrome trace export and
 // then proves the artefact is usable: the written bytes must parse back,
@@ -92,14 +64,9 @@ func main() {
 		seed      = flag.Int64("seed", 0, "override experiment seed (0 = default)")
 		list      = flag.Bool("list", false, "list available experiments")
 		verbose   = flag.Bool("v", false, "print each experiment's wall-clock completion time")
-		jsonOut   = flag.Bool("json", false, "write a BENCH_<date>.json perf snapshot (ns/op and allocs/op per figure/table plus hot-path micro-benchmarks)")
-		jsonPath  = flag.String("json-out", "", "write the perf snapshot to this path instead of BENCH_<date>.json (implies -json; lets CI diff against a committed baseline from the same date without clobbering it)")
 		traceFile = flag.String("trace", "", "enable request-lifecycle tracing and write the Chrome trace_event export to this file (load in chrome://tracing or Perfetto); the export is parsed back and validated before exit")
 	)
 	flag.Parse()
-	if *jsonPath != "" {
-		*jsonOut = true
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")
@@ -107,7 +74,7 @@ func main() {
 			fmt.Printf("  %-12s %s\n", id, experiments.Title(id))
 		}
 		if *exp == "" {
-			fmt.Println("\nusage: tltbench -exp <id>|all [-quick] [-seed N] [-json]")
+			fmt.Println("\nusage: tltbench -exp <id>|all [-quick] [-seed N] [-v] [-trace file]")
 		}
 		return
 	}
@@ -117,13 +84,7 @@ func main() {
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
-	var perf []expPerf
-	var figures []expFigure
 	for _, id := range ids {
-		var m0 runtime.MemStats
-		if *jsonOut {
-			runtime.ReadMemStats(&m0)
-		}
 		start := time.Now()
 		r, err := experiments.Run(id, opts)
 		if err != nil {
@@ -131,19 +92,6 @@ func main() {
 			os.Exit(1)
 		}
 		elapsed := time.Since(start)
-		if *jsonOut {
-			var m1 runtime.MemStats
-			runtime.ReadMemStats(&m1)
-			perf = append(perf, expPerf{
-				ID:     id,
-				Ns:     elapsed.Nanoseconds(),
-				Allocs: m1.Mallocs - m0.Mallocs,
-				Bytes:  m1.TotalAlloc - m0.TotalAlloc,
-			})
-			if len(r.Metrics) > 0 {
-				figures = append(figures, expFigure{ID: id, Metrics: r.Metrics})
-			}
-		}
 		fmt.Println(r)
 		if *traceFile != "" && r.TraceChrome != nil {
 			if err := writeAndValidateTrace(*traceFile, r); err != nil {
@@ -154,32 +102,5 @@ func main() {
 		if *verbose {
 			fmt.Printf("(%s completed in %v)\n\n", id, elapsed.Round(time.Millisecond))
 		}
-	}
-
-	if *jsonOut {
-		snap := benchSnapshot{
-			Date:        time.Now().Format("2006-01-02"),
-			GoVersion:   runtime.Version(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Quick:       *quick,
-			Experiments: perf,
-			Figures:     figures,
-			HotPath:     experiments.PerfSnapshot(*quick),
-		}
-		name := *jsonPath
-		if name == "" {
-			name = fmt.Sprintf("BENCH_%s.json", snap.Date)
-		}
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tltbench: encode snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(name, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "tltbench: write snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d experiments, %d hot-path benchmarks)\n", name, len(snap.Experiments), len(snap.HotPath))
 	}
 }

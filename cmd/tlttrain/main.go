@@ -21,7 +21,7 @@ func main() {
 		modelF  = flag.String("model", "qwen7b", "qwen7b | deepseek7b | qwen32b | llama70b")
 		gpuF    = flag.String("gpu", "H100", "GPU type (see gpu catalogue)")
 		nodes   = flag.Int("nodes", 1, "nodes (8 GPUs each)")
-		tp      = flag.Int("tp", 2, "tensor-parallel degree per rollout worker")
+		tp      = flag.Int("tp", 0, "tensor-parallel degree per rollout worker (0 = the model's degree: 2 for 7B, 4 for 32B, 8 for 70B)")
 		steps   = flag.Int("steps", 5, "RL steps to run")
 		prompts = flag.Int("prompts", 16, "prompts per step")
 		group   = flag.Int("group", 8, "responses per prompt (GRPO group)")
@@ -33,18 +33,15 @@ func main() {
 
 	kind, err := parseKind(*system)
 	check(err)
-	arch, defTP, err := parseModel(*modelF)
+	arch, tpDeg, err := parseModel(*modelF, *tp)
 	check(err)
-	if *tp == 2 && defTP != 2 {
-		*tp = defTP
-	}
 	spec, err := gpu.ByName(*gpuF)
 	check(err)
 
 	cfg := core.DefaultConfig()
 	cfg.Kind = kind
 	cfg.Arch = arch
-	cfg.Cluster = core.DefaultCluster(spec, *nodes, *tp)
+	cfg.Cluster = core.DefaultCluster(spec, *nodes, tpDeg)
 	cfg.RL.PromptsPerStep = *prompts
 	cfg.RL.GroupSize = *group
 	cfg.MaxNew = *maxNew
@@ -62,7 +59,7 @@ func main() {
 	}
 
 	fmt.Printf("%s | %s on %d x %s node(s), TP=%d, %d workers\n",
-		kind, arch.Name, *nodes, spec.Name, *tp, cfg.Cluster.Workers())
+		kind, arch.Name, *nodes, spec.Name, tpDeg, cfg.Cluster.Workers())
 	fmt.Printf("%-5s %-12s %-12s %-10s %-10s %-8s %-8s %-8s %-8s\n",
 		"step", "step-time", "rollout", "tput", "reward", "acc", "accept", "spot", "maxlen")
 	var totalTokens int
@@ -95,18 +92,30 @@ func parseKind(s string) (core.Kind, error) {
 	return 0, fmt.Errorf("unknown system %q", s)
 }
 
-func parseModel(s string) (gpu.Arch, int, error) {
+// parseModel returns the named model and the tensor-parallel degree to
+// run it at: tp when it is set, else the model's own degree.
+func parseModel(s string, tp int) (gpu.Arch, int, error) {
+	if tp < 0 {
+		return gpu.Arch{}, 0, fmt.Errorf("negative tensor-parallel degree %d", tp)
+	}
+	var arch gpu.Arch
+	var def int
 	switch strings.ToLower(s) {
 	case "qwen7b":
-		return gpu.Qwen7B, 2, nil
+		arch, def = gpu.Qwen7B, 2
 	case "deepseek7b":
-		return gpu.DeepSeek7B, 2, nil
+		arch, def = gpu.DeepSeek7B, 2
 	case "qwen32b":
-		return gpu.Qwen32B, 4, nil
+		arch, def = gpu.Qwen32B, 4
 	case "llama70b":
-		return gpu.Llama70B, 8, nil
+		arch, def = gpu.Llama70B, 8
+	default:
+		return gpu.Arch{}, 0, fmt.Errorf("unknown model %q", s)
 	}
-	return gpu.Arch{}, 0, fmt.Errorf("unknown model %q", s)
+	if tp == 0 {
+		tp = def
+	}
+	return arch, tp, nil
 }
 
 func check(err error) {

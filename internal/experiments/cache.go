@@ -124,8 +124,6 @@ func runCache(opts Options) (*Result, error) {
 		res.Metric(arm.policy+"/prefill_saved_frac", arm.savedFrac)
 		res.Metric(arm.policy+"/saved_positions", float64(st.CacheSavedPositions))
 		res.Metric(arm.policy+"/load_ratio", arm.loadRatio)
-		res.Metric(arm.policy+"/p50_ms", float64(st.P50)/float64(time.Millisecond))
-		res.Metric(arm.policy+"/p95_ms", float64(st.P95)/float64(time.Millisecond))
 	}
 	res.Tables = append(res.Tables, tbl)
 

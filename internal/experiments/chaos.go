@@ -39,8 +39,6 @@ type chaosArm struct {
 	// faultTTFTs are TTFT samples from requests submitted during windows
 	// containing a fault — the failure-window tail.
 	faultTTFTs []float64
-	// postmortems counts the flight-recorder captures the faults left.
-	postmortems int
 	// reviveWarmHits counts revived shards whose first templated request
 	// after the survivor warm handoff scored a prefill cache hit (the
 	// replay fails hard on any revive where it does not).
@@ -150,13 +148,8 @@ func runChaos(opts Options) (*Result, error) {
 		res.Metric(arm.name+"/shed", float64(arm.shed))
 		res.Metric(arm.name+"/failovers", float64(st.Failovers))
 		res.Metric(arm.name+"/dup_deliveries", float64(st.DuplicateDeliveries))
-		res.Metric(arm.name+"/postmortems", float64(arm.postmortems))
 		res.Metric(arm.name+"/revive_warm_hits", float64(arm.reviveWarmHits))
-		res.Metric(arm.name+"/slo_breaches", float64(st.SLOBreaches))
 		res.Metric(arm.name+"/token_checksum", float64(arm.checksum))
-		res.Metric(arm.name+"/fault_ttft_p999_ms", 1000*faultTail)
-		res.Metric(arm.name+"/ttft_p999_ms", float64(st.TTFTP999)/float64(time.Millisecond))
-		res.Metric(arm.name+"/p999_ms", float64(st.P999)/float64(time.Millisecond))
 	}
 	// Recovery time from the plan's fault→revive pairing (virtual time —
 	// deterministic by construction).
@@ -449,7 +442,6 @@ func runChaosArm(b *bench, failover bool, arrivals []workload.Arrival, plan clus
 		ri++
 	}
 	arm.stats = cl.Stats()
-	arm.postmortems = len(cl.Postmortems())
 	if got := arm.served + arm.failed + arm.shed; got != len(arrivals) {
 		arm.err = fmt.Errorf("chaos arm %s: %d served + %d failed + %d shed != %d arrivals\n%s",
 			arm.name, arm.served, arm.failed, arm.shed, len(arrivals), dumpRecorder(cl))

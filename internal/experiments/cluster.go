@@ -25,10 +25,7 @@ func init() {
 type clusterArm struct {
 	policy string
 	stats  cluster.Stats
-	// trainPasses counts drafter spot-training passes run on shards the
-	// scaler parked in TRAINING during lulls.
-	trainPasses int
-	err         error
+	err    error
 }
 
 // runCluster replays one production-style bursty arrival trace through a
@@ -108,16 +105,6 @@ func runCluster(opts Options) (*Result, error) {
 			fmt.Sprintf("%d", st.TrainingSessions),
 			fmt.Sprintf("%d", st.Preemptions),
 		)
-		res.Metric(arm.policy+"/p50_ms", float64(st.P50)/float64(time.Millisecond))
-		res.Metric(arm.policy+"/p95_ms", float64(st.P95)/float64(time.Millisecond))
-		res.Metric(arm.policy+"/ttft_p50_ms", float64(st.TTFTP50)/float64(time.Millisecond))
-		res.Metric(arm.policy+"/ttft_p95_ms", float64(st.TTFTP95)/float64(time.Millisecond))
-		res.Metric(arm.policy+"/itl_p50_ms", float64(st.ITLP50)/float64(time.Millisecond))
-		res.Metric(arm.policy+"/itl_p95_ms", float64(st.ITLP95)/float64(time.Millisecond))
-		res.Metric(arm.policy+"/shed_rate", st.ShedRate)
-		res.Metric(arm.policy+"/utilisation", st.MeanUtilisation)
-		res.Metric(arm.policy+"/accept_len", st.MeanAcceptLen)
-		res.Metric(arm.policy+"/train_passes", float64(arm.trainPasses))
 	}
 	res.Tables = append(res.Tables, tbl)
 	res.Notes = append(res.Notes,
@@ -196,7 +183,6 @@ func runClusterArm(b *bench, policy cluster.Policy, arrivals []workload.Arrival,
 		// rollout workers.
 		for range cl.Scaler().TrainingShards() {
 			drafter.Train(b.corpus, nil, newRand(int64(w)^0x7261))
-			arm.trainPasses++
 		}
 
 		var wg sync.WaitGroup

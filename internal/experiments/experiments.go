@@ -1,6 +1,6 @@
 // Package experiments contains one runner per table and figure of the
-// paper's evaluation (§6), shared by cmd/tltbench and the repository's
-// benchmark harness. Each runner regenerates the artefact's rows/series
+// paper's evaluation (§6), driven by cmd/tltbench and checked by this
+// package's tests. Each runner regenerates the artefact's rows/series
 // from the simulator, and its notes set the measured values beside the
 // paper's.
 package experiments
@@ -15,7 +15,7 @@ import (
 
 // Options tunes experiment scale.
 type Options struct {
-	// Quick shrinks workloads for benchmark iterations and CI.
+	// Quick shrinks workloads for tests and CI.
 	Quick bool
 	// Seed overrides the default experiment seed.
 	Seed int64
@@ -33,10 +33,11 @@ type Result struct {
 	Tables []*metrics.Table
 	Series []metrics.Series
 	Notes  []string
-	// Metrics holds the artefact's headline numbers keyed by a stable
-	// name (e.g. "round-robin/p95_ms"); tltbench -json snapshots them
-	// into BENCH_<date>.json so the trajectory of figure values — not
-	// just their cost — is tracked in-tree.
+	// Metrics holds numbers that tests and tltbench check, keyed by a
+	// stable name (e.g. "with/availability"): the acceptance tests of the
+	// wall-clock experiments (batching, cache, chaos) read them, and
+	// tltbench -trace reconciles "traced_requests" with the export. The
+	// printed tables carry the figures themselves.
 	Metrics map[string]float64
 	// TraceChrome is the exported Chrome trace_event JSON when the
 	// experiment ran with Options.Trace (tltbench -trace writes it to

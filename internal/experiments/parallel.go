@@ -7,7 +7,7 @@ import (
 )
 
 // forEach runs fn(0..n-1) across a bounded worker pool (one worker per
-// CPU), so tltbench and the quick-mode benchmarks regenerate independent
+// CPU), so tltbench and the quick-mode tests regenerate independent
 // experiment arms on all cores. Determinism is preserved because every
 // arm derives its RNGs from its own fixed seeds (newRand, SampleSeeded)
 // and writes only to its own result slot — arms must not share mutable

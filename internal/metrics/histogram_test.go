@@ -154,6 +154,24 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkHistogramRecord measures the exemplar-linked Record that every
+// served request crosses: the log-bucket index plus the bounded exemplar
+// update, over values spread across thirty octaves.
+func BenchmarkHistogramRecord(b *testing.B) {
+	h := NewHistogram()
+	rng := rand.New(rand.NewSource(9))
+	vals := make([]int64, 1024)
+	for i := range vals {
+		vals[i] = 1 + int64(rng.Intn(1<<30))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := vals[i&1023]
+		h.Record(v, v)
+	}
+}
+
 // TestHistogramQuantileAccuracy checks the advertised bound: quantiles
 // are within one sub-bucket width (12.5% relative) of the exact
 // percentile on known distributions.

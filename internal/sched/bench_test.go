@@ -38,8 +38,8 @@ func benchStep(b *testing.B, n int, sd bool) {
 
 // BenchmarkBatchStep is the canonical continuous-batching iteration: 8
 // inflight sequences advanced one speculation round by the scheduler
-// through one specdec.StepBatch call. It is snapshotted
-// as the sched/batch-step-8 hot-path entry in BENCH_<date>.json.
+// through one specdec.StepBatch call. It is pinned in the same-runner A/B
+// gate (cmd/benchdiff/ab.sh).
 func BenchmarkBatchStep(b *testing.B) { benchStep(b, 8, true) }
 
 // BenchmarkBatchStepSolo is the 1-sequence case, isolating per-iteration
@@ -51,8 +51,7 @@ func BenchmarkBatchStepSolo(b *testing.B) { benchStep(b, 1, true) }
 // table the scheduler's per-request step cost must stay flat as the
 // window grows (batch-step-64 within 15% of batch-step-8 per request) —
 // the property that justifies the serving layer's wider MaxBatch
-// default. Snapshotted as sched/batch-step-16 and sched/batch-step-64 in
-// BENCH_<date>.json and gated by benchdiff alongside batch-step-8.
+// default. Both are pinned in the A/B gate alongside BenchmarkBatchStep.
 func BenchmarkBatchStep16(b *testing.B) { benchStep(b, 16, true) }
 
 func BenchmarkBatchStep64(b *testing.B) { benchStep(b, 64, true) }
