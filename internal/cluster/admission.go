@@ -12,28 +12,18 @@ type AdmissionConfig struct {
 	// by atomic slot reservation, so it holds exactly under concurrent
 	// submits. Default 64.
 	MaxPending int
-	// SvcAlpha is the EWMA coefficient for the shard's per-request service
-	// time estimate (the weight of the newest sample). Default 0.2.
-	SvcAlpha float64
-	// BurnShed, when > 0, makes admission shed earlier while the shard is
-	// burning its SLO error budget fast: while the shard's fast-window
-	// burn rate (slo.Engine.BurnRate) is at or above this threshold, the
-	// effective backlog cap drops to MaxPending/2, so the overloaded shard
-	// drains the queue it already has instead of stacking more latency
-	// behind the problem. 0 (the default) disables burn-aware shedding;
-	// it only takes effect when the cluster has SLO specs configured.
-	BurnShed float64
 }
 
 func (a AdmissionConfig) withDefaults() AdmissionConfig {
 	if a.MaxPending < 1 {
 		a.MaxPending = 64
 	}
-	if a.SvcAlpha <= 0 || a.SvcAlpha > 1 {
-		a.SvcAlpha = 0.2
-	}
 	return a
 }
+
+// svcAlpha is the EWMA coefficient for a shard's per-request service time
+// estimate (the weight of the newest sample).
+const svcAlpha = 0.2
 
 // ErrShedded reports a request rejected by admission control. It is a
 // typed error so callers can distinguish load shedding (retryable, with a
@@ -59,19 +49,12 @@ func (e *ErrShedded) Error() string {
 // request, deadline its latency budget (0 = none). It returns nil when
 // the request may enter the shard's queue, or *ErrShedded (in which case
 // the caller releases the reservation). Because n comes from an atomic
-// reservation rather than a load probe, the MaxPending cap holds exactly
+// reservation rather than a load probe, the maxPending cap holds exactly
 // under concurrent submits.
-func (sh *shard) admit(n int, deadline time.Duration, cfg AdmissionConfig) error {
+func (sh *shard) admit(n int, deadline time.Duration, maxPending int) error {
 	backlog := n - 1 // requests ahead of this one
 	svc := sh.svcEstimate()
 	replicas := sh.server().Replicas()
-	maxPending := cfg.MaxPending
-	if cfg.BurnShed > 0 && sh.slo.BurnRate() >= cfg.BurnShed {
-		// Burn-aware shedding: the shard's fast window says the error
-		// budget is torching, so stop queueing behind the problem — halve
-		// the backlog cap until the burn cools below the threshold.
-		maxPending = (cfg.MaxPending + 1) / 2
-	}
 	if n > maxPending {
 		// Queue-bound shedding: retry once the backlog beyond the cap has
 		// drained through the shard's replicas.

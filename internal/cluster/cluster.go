@@ -82,20 +82,20 @@ type Config struct {
 	// admission, stamped with the shard ID and mirrored into that shard's
 	// flight-recorder ring.
 	Tracer *trace.Tracer
-	// FlightSlots is the per-shard flight-recorder ring capacity (rounded
-	// up to a power of two). Default 1024. The rings exist regardless of
-	// Tracer — fault-injection events always land in them, so every chaos
-	// fault leaves a postmortem capture even with request tracing off.
-	FlightSlots int
 	// SLO declares the cluster's service-level objectives (internal/slo).
 	// Every shard gets its own burn-rate engine fed by its serving layer
 	// (TTFT and per-chunk ITL at step boundaries, outcomes at terminal
 	// events); breaches emit trace.KindSLOBreach markers into that shard's
-	// flight-recorder ring, and admission can shed earlier while the fast
-	// window burns (AdmissionConfig.BurnShed). Empty (the default)
-	// disables SLO evaluation entirely.
+	// flight-recorder ring and show in Stats' burn rates. Empty (the
+	// default) disables SLO evaluation entirely.
 	SLO []slo.Spec
 }
+
+// flightSlots is the per-shard flight-recorder ring capacity. The rings
+// exist regardless of Config.Tracer — fault-injection events always land
+// in them, so every chaos fault leaves a postmortem capture even with
+// request tracing off.
+const flightSlots = 1024
 
 // NewShardCaches builds n independent prefix caches with a shared config,
 // ready to pass to Config.Caches.
@@ -223,8 +223,7 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Cluster, error) 
 		cfg.Policy = NewRoundRobin()
 	}
 	cfg.Admission = cfg.Admission.withDefaults()
-	cfg.Scaler = cfg.Scaler.withDefaults(cfg.Shards)
-	cfg.Failover = cfg.Failover.withDefaults()
+	cfg.Scaler = cfg.Scaler.withDefaults()
 	// Every admitted request must have a queue slot: with QueueDepth <
 	// MaxPending an admitted submit could block in the shard's queue send
 	// instead of shedding fast, which is exactly what admission control is
@@ -234,9 +233,6 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Cluster, error) 
 	}
 	if cfg.Caches != nil && len(cfg.Caches) != cfg.Shards {
 		return nil, fmt.Errorf("cluster: %d caches for %d shards", len(cfg.Caches), cfg.Shards)
-	}
-	if cfg.FlightSlots <= 0 {
-		cfg.FlightSlots = 1024
 	}
 	c := &Cluster{
 		cfg:      cfg,
@@ -274,7 +270,7 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Cluster, error) 
 		return c.acceptSum / float64(c.acceptN)
 	})
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{id: i, flight: trace.NewFlightRecorder(cfg.FlightSlots)}
+		sh := &shard{id: i, flight: trace.NewFlightRecorder(flightSlots)}
 		eng, err := slo.NewEngine(cfg.SLO, i, sh.flight)
 		if err != nil {
 			for _, prev := range c.shards {
@@ -395,7 +391,7 @@ func (c *Cluster) PickShard(prompt []int) int {
 		}
 	}
 	if len(live) == 0 {
-		// The scaler floors the serving set at MinServing, so this is a
+		// The scaler floors the serving set at one shard, so this is a
 		// belt-and-braces fallback, not a steady state. Dead shards stay
 		// excluded even here; only a cluster with every shard down routes
 		// blindly.
@@ -476,7 +472,7 @@ func (c *Cluster) submitAttempt(ctx context.Context, req Request) (*serving.Stre
 	// Reserve an admission slot first: the reservation is atomic, so the
 	// cap holds exactly even when many submits race.
 	n := int(sh.outstanding.Add(1))
-	if err := sh.admit(n, req.Deadline, c.cfg.Admission); err != nil {
+	if err := sh.admit(n, req.Deadline, c.cfg.Admission.MaxPending); err != nil {
 		sh.outstanding.Add(-1)
 		sh.cShed.Inc()
 		return nil, nil, err
@@ -579,14 +575,13 @@ func (c *Cluster) recordOutcome(sh *shard, r serving.Response) {
 		})
 		return
 	}
-	alpha := c.cfg.Admission.SvcAlpha
 	for {
 		old := sh.svcBits.Load()
 		cur := math.Float64frombits(old)
 		sample := r.DecodeTime.Seconds()
 		next := sample
 		if cur > 0 {
-			next = (1-alpha)*cur + alpha*sample
+			next = (1-svcAlpha)*cur + svcAlpha*sample
 		}
 		if sh.svcBits.CompareAndSwap(old, math.Float64bits(next)) {
 			break
@@ -680,15 +675,14 @@ type Stats struct {
 	TTFTP95 time.Duration
 	ITLP50  time.Duration
 	ITLP95  time.Duration
-	// P999/TTFTP999 are extreme-tail percentiles over an exact bucket-wise
-	// merge of the per-shard latency histograms (metrics.Histogram.Merge) —
-	// the cluster-level tails the chaos experiment reports across a failure
-	// window, deterministic and independent of merge order.
+	// P999/TTFTP999 are the p99.9s of the per-request latency and TTFT
+	// histograms that P50 and TTFTP50 read — the cluster-level tails the
+	// chaos experiment reports across a failure window.
 	P999     time.Duration
 	TTFTP999 time.Duration
 	// P999Exemplars/TTFTP999Exemplars are the exemplar request IDs retained
-	// by the merged p99.9 buckets — the requests to chase through
-	// flight-recorder rings and trace exports when the tail moves.
+	// by the p99.9 buckets — the requests to chase through flight-recorder
+	// rings and trace exports when the tail moves.
 	P999Exemplars     []int64
 	TTFTP999Exemplars []int64
 	// BurnRate is the maximum fast-window SLO burn rate across shards at
@@ -755,51 +749,18 @@ func (c *Cluster) Stats() Stats {
 	if total := st.Admitted + st.Shed; total > 0 {
 		st.ShedRate = float64(st.Shed) / float64(total)
 	}
-	st.P50 = time.Duration(snap.Histogram("latency").P50)
-	st.P95 = time.Duration(snap.Histogram("latency").P95)
-	st.TTFTP50 = time.Duration(snap.Histogram("ttft").P50)
-	st.TTFTP95 = time.Duration(snap.Histogram("ttft").P95)
-	st.ITLP50 = time.Duration(snap.Histogram("itl").P50)
-	st.ITLP95 = time.Duration(snap.Histogram("itl").P95)
+	lat, ttft, itl := snap.Histogram("latency"), snap.Histogram("ttft"), snap.Histogram("itl")
+	st.P50, st.P95, st.P999 = time.Duration(lat.P50), time.Duration(lat.P95), time.Duration(lat.P999)
+	st.TTFTP50, st.TTFTP95, st.TTFTP999 = time.Duration(ttft.P50), time.Duration(ttft.P95), time.Duration(ttft.P999)
+	st.ITLP50, st.ITLP95 = time.Duration(itl.P50), time.Duration(itl.P95)
+	st.P999Exemplars, st.TTFTP999Exemplars = lat.TailExemplars, ttft.TailExemplars
 	st.Cancelled = int(snap.Counter("cancelled"))
 	st.Errored = int(snap.Counter("errored"))
 	st.MeanAcceptLen = snap.Gauge("accept_len_mean")
-	// Cluster p99.9 merges the per-shard histograms into the cluster-level
-	// per-request histograms bucket-wise: the cluster's own histograms hold
-	// one sample per request, too coarse for a 99.9th tail on their own,
-	// while the shard histograms carry every chunk-level sample. The merge
-	// is exact addition — deterministic for a fixed observation set, and
-	// the merged tail buckets keep their exemplar request IDs.
-	mergedLat, mergedTTFT := metrics.NewHistogram(), metrics.NewHistogram()
-	c.statsMu.Lock()
-	mergedLat.Merge(c.lats)
-	mergedTTFT.Merge(c.ttfts)
-	c.statsMu.Unlock()
-	for _, sh := range c.shards {
-		lats, ttfts := sh.server().TailHistograms()
-		mergedLat.Merge(lats)
-		mergedTTFT.Merge(ttfts)
-	}
-	st.P999 = time.Duration(mergedLat.Quantile(99.9))
-	st.TTFTP999 = time.Duration(mergedTTFT.Quantile(99.9))
-	st.P999Exemplars = mergedLat.ExemplarsAt(99.9)
-	st.TTFTP999Exemplars = mergedTTFT.ExemplarsAt(99.9)
 	st.DuplicateDeliveries = int(snap.Counter("dup_deliveries"))
 	st.Failovers = int(snap.Counter("failovers"))
 	st.TrainingSessions, st.Preemptions = c.scaler.sessionCounts()
 	return st
-}
-
-// BurnRate returns the maximum fast-window SLO burn rate across shards —
-// the cluster's load-control signal (0 without Config.SLO).
-func (c *Cluster) BurnRate() float64 {
-	var max float64
-	for _, sh := range c.shards {
-		if b := sh.slo.BurnRate(); b > max {
-			max = b
-		}
-	}
-	return max
 }
 
 // SLOEngine returns shard id's burn-rate engine (nil without Config.SLO).

@@ -166,7 +166,7 @@ func TestClusterDeterministic(t *testing.T) {
 func TestScalerElasticity(t *testing.T) {
 	target, e, tk, _ := clusterSetup(t)
 	cfg := clusterConfig(tk, 4, 1)
-	cfg.Scaler = ScalerConfig{TargetPerShard: 10, MinServing: 1, IdleThreshold: 2}
+	cfg.Scaler = ScalerConfig{TargetPerShard: 10}
 	cl, err := New(cfg, target, e)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestScalerElasticity(t *testing.T) {
 	}
 
 	// Lull: offered load worth one shard → three demotions, and with
-	// IdleThreshold 2 the idle pool becomes a training session.
+	// idleThreshold 2 the idle pool becomes a training session.
 	actions := sc.Observe(5, 1*time.Second)
 	if got := len(sc.ServingShards()); got != 1 {
 		t.Fatalf("after lull serving shards = %d, want 1", got)

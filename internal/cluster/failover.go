@@ -29,17 +29,11 @@ type FailoverConfig struct {
 	// Enabled turns failover on: streams route through a session that
 	// resubmits to a survivor when the owning shard crashes.
 	Enabled bool
-	// MaxAttempts bounds total submission attempts per logical request
-	// (first submit included). Default 3.
-	MaxAttempts int
 }
 
-func (f FailoverConfig) withDefaults() FailoverConfig {
-	if f.MaxAttempts < 1 {
-		f.MaxAttempts = 3
-	}
-	return f
-}
+// maxAttempts bounds total submission attempts per logical request (first
+// submit included).
+const maxAttempts = 3
 
 // foSession is one logical request's failover state: the current attempt,
 // the replay-suppression cursors, and the terminal dedup.
@@ -79,7 +73,7 @@ func (fo *foSession) bind() error {
 	var lastErr error
 	for {
 		fo.mu.Lock()
-		if fo.attempts >= fo.c.cfg.Failover.MaxAttempts {
+		if fo.attempts >= maxAttempts {
 			fo.mu.Unlock()
 			return lastErr
 		}
@@ -168,7 +162,7 @@ func (fo *foSession) shouldFailover(err error) bool {
 	}
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
-	return fo.attempts < fo.c.cfg.Failover.MaxAttempts
+	return fo.attempts < maxAttempts
 }
 
 // rebind resubmits the request to a survivor and arms replay suppression.
@@ -178,7 +172,7 @@ func (fo *foSession) rebind() bool {
 	fo.c.unregisterSession(fo)
 	for {
 		fo.mu.Lock()
-		if fo.attempts >= fo.c.cfg.Failover.MaxAttempts {
+		if fo.attempts >= maxAttempts {
 			fo.mu.Unlock()
 			return false
 		}

@@ -156,7 +156,7 @@ func TestFailoverStreamEquivalence(t *testing.T) {
 			// A hang terminates nothing by itself; the health monitor must
 			// notice the stalled step counter and escalate to a crash.
 			cl.HangShard(0, time.Second)
-			mon := cl.NewMonitor(MonitorConfig{HangPolls: 2})
+			mon := cl.NewMonitor()
 			deadline := time.Now().Add(10 * time.Second)
 			for escalated := false; !escalated; {
 				if time.Now().After(deadline) {

@@ -89,8 +89,8 @@ type FaultPlanConfig struct {
 // GenerateFaultPlan builds a deterministic fault plan: Faults evenly-spaced
 // fault times across Duration, each paired with a revive MTTR later
 // (clamped before the next fault, so at most one shard is down at a time
-// and the plan composes with MinServing ≥ 1 clusters). The seed picks
-// which shard dies; kinds cycle through Kinds in order.
+// and the plan composes with the scaler's one-shard serving floor). The
+// seed picks which shard dies; kinds cycle through Kinds in order.
 func GenerateFaultPlan(cfg FaultPlanConfig) FaultPlan {
 	if cfg.Shards < 1 || cfg.Duration <= 0 {
 		return FaultPlan{}

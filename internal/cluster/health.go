@@ -14,21 +14,11 @@ import (
 	"fastrl/internal/coordinator"
 )
 
-// MonitorConfig parameterises the health monitor.
-type MonitorConfig struct {
-	// HangPolls is how many consecutive reliable polls a shard may show
-	// inflight work with zero step progress before the monitor escalates
-	// the hang to a crash. Polls where several shards are simultaneously
-	// stalled-with-inflight are not charged (see Poll). Default 3.
-	HangPolls int
-}
-
-func (m MonitorConfig) withDefaults() MonitorConfig {
-	if m.HangPolls < 1 {
-		m.HangPolls = 3
-	}
-	return m
-}
+// hangPolls is how many consecutive reliable polls a shard may show
+// inflight work with zero step progress before the monitor escalates the
+// hang to a crash. Polls where several shards are simultaneously
+// stalled-with-inflight are not charged (see Poll).
+const hangPolls = 10
 
 // HealthEvent records one monitor-driven transition.
 type HealthEvent struct {
@@ -43,16 +33,14 @@ func (e HealthEvent) String() string { return fmt.Sprintf("shard %d: %v", e.Shar
 // Monitor polls shard health and applies failure transitions.
 type Monitor struct {
 	c         *Cluster
-	cfg       MonitorConfig
 	lastSteps []int64
 	stalls    []int
 }
 
 // NewMonitor builds a health monitor over the cluster.
-func (c *Cluster) NewMonitor(cfg MonitorConfig) *Monitor {
+func (c *Cluster) NewMonitor() *Monitor {
 	return &Monitor{
 		c:         c,
-		cfg:       cfg.withDefaults(),
 		lastSteps: make([]int64, len(c.shards)),
 		stalls:    make([]int, len(c.shards)),
 	}
@@ -103,7 +91,7 @@ func (m *Monitor) Poll(now time.Duration) []HealthEvent {
 			// reaches a step boundary, so cancellation alone cannot.
 			if reliable {
 				m.stalls[i]++
-				if m.stalls[i] >= m.cfg.HangPolls {
+				if m.stalls[i] >= hangPolls {
 					m.c.CrashShard(i, now)
 					evs = append(evs, HealthEvent{Shard: i, Kind: FaultCrash})
 					m.stalls[i] = 0

@@ -12,33 +12,22 @@ import (
 type ScalerConfig struct {
 	// TargetPerShard is the offered load (requests per observation window)
 	// one serving shard is sized for; the scaler serves
-	// ceil(offered / TargetPerShard) shards, clamped to
-	// [MinServing, Shards]. Default 8.
+	// ceil(offered / TargetPerShard) shards, clamped to [1, Shards] so the
+	// router always has a live shard. Default 8.
 	TargetPerShard float64
-	// MinServing floors the serving set so the router always has a live
-	// shard. Default 1.
-	MinServing int
-	// IdleThreshold is the coordinator's idle-pool size before a drafter
-	// training session starts (paper §4.2). Default 1: a single demoted
-	// shard immediately starts spot training.
-	IdleThreshold int
 }
 
-func (s ScalerConfig) withDefaults(shards int) ScalerConfig {
+func (s ScalerConfig) withDefaults() ScalerConfig {
 	if s.TargetPerShard <= 0 {
 		s.TargetPerShard = 8
 	}
-	if s.MinServing < 1 {
-		s.MinServing = 1
-	}
-	if s.MinServing > shards {
-		s.MinServing = shards
-	}
-	if s.IdleThreshold < 1 {
-		s.IdleThreshold = 1
-	}
 	return s
 }
+
+// idleThreshold is the coordinator's idle-pool size before a drafter
+// training session starts (paper §4.2): two demoted shards pool into one
+// spot-training session.
+const idleThreshold = 2
 
 // Scaler drives shards between SERVING (coordinator.Busy), IDLE, and
 // TRAINING through the coordinator's worker state machine: demoted shards
@@ -59,7 +48,7 @@ type Scaler struct {
 func newScaler(c *Cluster, cfg ScalerConfig) (*Scaler, error) {
 	coord, err := coordinator.New(coordinator.Config{
 		Workers:       len(c.shards),
-		IdleThreshold: cfg.IdleThreshold,
+		IdleThreshold: idleThreshold,
 	})
 	if err != nil {
 		return nil, err
@@ -76,10 +65,7 @@ func (s *Scaler) Observe(offered float64, now time.Duration) []coordinator.Actio
 	defer s.mu.Unlock()
 	s.accrueLocked(now)
 
-	target := int(math.Ceil(offered / s.cfg.TargetPerShard))
-	if target < s.cfg.MinServing {
-		target = s.cfg.MinServing
-	}
+	target := max(int(math.Ceil(offered/s.cfg.TargetPerShard)), 1)
 	if target > len(s.c.shards) {
 		target = len(s.c.shards)
 	}

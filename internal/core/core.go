@@ -95,18 +95,10 @@ type Config struct {
 	// TaskPool / Seed drive workload generation.
 	TaskPool int
 	Seed     int64
-	// SDThreshold is the elastic SD activation bound (TLT variants).
-	SDThreshold int
-	// IdleThreshold is the coordinator's spot-training trigger.
-	IdleThreshold int
-	// DrafterTrainEvery trains the drafter on the spot every N RL steps
-	// (paper §6.4: every 10 steps suffices; default 1).
-	DrafterTrainEvery int
 	// DisableSpot turns off spot training (ablation: TLT with a frozen
-	// warm-up drafter).
+	// warm-up drafter). Otherwise the drafter trains on the spot every
+	// RL step, as soon as a single worker goes idle.
 	DisableSpot bool
-	// GraphPlan overrides the CUDAGraph capture plan.
-	GraphPlan string
 	// ModelBuckets overrides the target LM's feature buckets (tests use
 	// smaller tables).
 	ModelBuckets int
@@ -126,16 +118,13 @@ type Config struct {
 // DefaultConfig returns a TLT system on one H100 node.
 func DefaultConfig() Config {
 	return Config{
-		Kind:              TLT,
-		Cluster:           DefaultCluster(gpu.H100, 1, 2),
-		Arch:              gpu.Qwen7B,
-		RL:                rl.DefaultConfig(),
-		MaxNew:            512,
-		TaskPool:          64,
-		Seed:              1,
-		SDThreshold:       32,
-		IdleThreshold:     1,
-		DrafterTrainEvery: 1,
+		Kind:     TLT,
+		Cluster:  DefaultCluster(gpu.H100, 1, 2),
+		Arch:     gpu.Qwen7B,
+		RL:       rl.DefaultConfig(),
+		MaxNew:   512,
+		TaskPool: 64,
+		Seed:     1,
 	}
 }
 
@@ -172,9 +161,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.MaxNew < 8 {
 		return nil, fmt.Errorf("core: MaxNew %d too small", cfg.MaxNew)
 	}
-	if cfg.DrafterTrainEvery < 1 {
-		cfg.DrafterTrainEvery = 1
-	}
 	// The weight tables built below take tens of megabytes; the drafter's
 	// alone is 21.6 MB. Collecting first lets a process that builds one
 	// system after another, as the benchmark's set-ups do, reuse the
@@ -210,7 +196,7 @@ func New(cfg Config) (*System, error) {
 	case TLT:
 		s.Eagle = draft.NewEagle(draft.EagleDefault(tk.VocabSize(), cfg.Arch))
 		coord, err := coordinator.New(coordinator.Config{
-			Workers: cfg.Cluster.Workers(), IdleThreshold: cfg.IdleThreshold,
+			Workers: cfg.Cluster.Workers(), IdleThreshold: 1,
 		})
 		if err != nil {
 			return nil, err
@@ -218,7 +204,7 @@ func New(cfg Config) (*System, error) {
 		s.Coord = coord
 		s.Buffer = spot.NewDataBuffer(4096)
 		dev := s.workerDevice()
-		s.Spot = spot.NewTrainer(spot.DefaultTrainerConfig(dev, cfg.Arch), s.Eagle, target, s.Buffer, nil)
+		s.Spot = spot.NewTrainer(dev, s.Eagle, target, s.Buffer)
 	case TLTBase:
 		s.NGram = draft.NewNGram(tk.VocabSize(), 1, 3)
 	}
@@ -437,7 +423,7 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 		idle += time.Duration(W-rolloutWorkers) * rolloutEnd
 	}
 
-	if s.Cfg.Kind == TLT && !s.Cfg.DisableSpot && s.step%s.Cfg.DrafterTrainEvery == 0 {
+	if s.Cfg.Kind == TLT && !s.Cfg.DisableSpot {
 		idle -= s.runSpotTraining(order, finishes, rolloutEnd, stats)
 	}
 	if idle < 0 {
@@ -496,13 +482,9 @@ func (s *System) newEngine() (*sched.Batch, error) {
 	dev := s.workerDevice()
 	cfg := sched.DefaultConfig(dev)
 	cfg.Temp = s.Cfg.RL.Temp
-	if s.Cfg.GraphPlan != "" {
-		cfg.GraphPlan = s.Cfg.GraphPlan
-	}
 	cfg.StopAtRemaining = s.Cfg.EarlyStopTail
+	// TLT and TLT-Base keep the engine's elastic SD bound.
 	switch s.Cfg.Kind {
-	case TLT, TLTBase:
-		cfg.SDThreshold = s.Cfg.SDThreshold
 	case VeRL:
 		cfg.SDThreshold = -1
 	case OpenR1:

@@ -201,31 +201,6 @@ func TestDisableSpotFreezesDrafter(t *testing.T) {
 	}
 }
 
-func TestDrafterTrainEveryCadence(t *testing.T) {
-	cfg := smallConfig(TLT)
-	cfg.DrafterTrainEvery = 2
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.WarmUpDrafter(10, 1)
-	var spotSteps []int
-	for i := 1; i <= 4; i++ {
-		st, err := sys.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.SpotBatches > 0 {
-			spotSteps = append(spotSteps, i)
-		}
-	}
-	for _, s := range spotSteps {
-		if s%2 != 0 {
-			t.Fatalf("spot training ran on off-cadence step %d (cadence 2): %v", s, spotSteps)
-		}
-	}
-}
-
 func TestRewardImprovesUnderTLT(t *testing.T) {
 	cfg := smallConfig(TLT)
 	cfg.RL.PromptsPerStep = 12

@@ -14,10 +14,11 @@ func BenchmarkEagleProbs(b *testing.B) {
 	ctx := []int{tk.Bos(), tk.Digit(3), tk.MustID("+"), tk.Digit(4), tk.MustID("=")}
 	hidden := model.FusedHiddenInto(lm, model.Context{Tokens: ctx, PromptLen: len(ctx)}, 2, &model.HiddenState{}, model.NewScratch())
 	dst := make([]float32, tk.VocabSize())
+	sc := model.NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Probs(ctx, len(ctx), hidden, 0.9, dst)
+		e.Probs(ctx, len(ctx), hidden, 0.9, dst, sc)
 	}
 }
 
@@ -72,7 +73,7 @@ func BenchmarkNGramProbs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Probs(seq[:64], 0, nil, 0.9, dst)
+		g.Probs(seq[:64], 0, nil, 0.9, dst, nil)
 	}
 }
 

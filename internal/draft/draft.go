@@ -11,8 +11,8 @@ import (
 	"fastrl/internal/model"
 )
 
-// scratchPool backs the scratch-free Probs wrappers so drafters shared
-// across replicas stay allocation-free without per-drafter mutable state.
+// scratchPool backs HarvestExamples' target scoring, so concurrent
+// harvests stay allocation-free without per-caller scratch.
 var scratchPool = sync.Pool{New: func() any { return model.NewScratch() }}
 
 // Drafter produces a proposal distribution for the next token.
@@ -21,25 +21,16 @@ var scratchPool = sync.Pool{New: func() any { return model.NewScratch() }}
 // drafted tokens), promptLen the prompt prefix length, and hidden the
 // target model's hidden sketch at the drafting root (the last verified
 // position). Model-free drafters ignore hidden. dst receives the
-// distribution and must have vocabulary length.
+// distribution and must have vocabulary length. sc holds the intermediate
+// buffers (logits), so the drafting stage of a speculation round performs
+// zero heap allocations; model-free drafters, which need no logits
+// buffer, ignore it and accept nil.
 type Drafter interface {
 	Name() string
 	// Arch returns the cost-model architecture of the drafter. A zero
 	// Layers value marks a model-free drafter with no GPU forward cost.
 	Arch() gpu.Arch
-	Probs(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32)
-}
-
-// BufferedDrafter is implemented by drafters that can score into
-// caller-owned scratch. The speculation engine prefers this entry so the
-// drafting stage of a round performs zero heap allocations; drafters
-// without it (e.g. the model-free n-gram drafter, which needs no logits
-// buffer) are called through Probs.
-type BufferedDrafter interface {
-	Drafter
-	// ProbsBuf is Probs using sc for intermediate buffers (logits); dst
-	// still receives the distribution.
-	ProbsBuf(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32, sc *model.Scratch)
+	Probs(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32, sc *model.Scratch)
 }
 
 // Observer is implemented by drafters that learn online from observed

@@ -173,7 +173,8 @@ func TestEagleProbsIsDistribution(t *testing.T) {
 	e := NewEagle(EagleDefault(tk.VocabSize(), gpu.Qwen7B))
 	probs := make([]float32, tk.VocabSize())
 	hidden := &model.HiddenState{Sketch: make([]float32, model.HiddenDim)}
-	e.Probs([]int{tk.Bos(), tk.Digit(3)}, 1, hidden, 1, probs)
+	sc := model.NewScratch()
+	e.Probs([]int{tk.Bos(), tk.Digit(3)}, 1, hidden, 1, probs, sc)
 	var sum float64
 	for _, p := range probs {
 		if p < 0 {
@@ -185,7 +186,7 @@ func TestEagleProbsIsDistribution(t *testing.T) {
 		t.Fatalf("probabilities sum to %v", sum)
 	}
 	// Nil hidden must not panic (model-free fallback path).
-	e.Probs([]int{tk.Bos()}, 1, nil, 1, probs)
+	e.Probs([]int{tk.Bos()}, 1, nil, 1, probs, sc)
 }
 
 func TestEagleArchIsSingleLayer(t *testing.T) {
@@ -201,7 +202,7 @@ func TestNGramRetrieval(t *testing.T) {
 	g.Observe(seq, 0)
 	probs := make([]float32, 50)
 	// Context ...2,3,4 was last followed by 6.
-	g.Probs([]int{9, 2, 3, 4}, 0, nil, 1, probs)
+	g.Probs([]int{9, 2, 3, 4}, 0, nil, 1, probs, nil)
 	if top := model.TopK(probs, 1)[0]; top != 6 {
 		t.Fatalf("ngram retrieval argmax = %d, want 6", top)
 	}
@@ -209,7 +210,7 @@ func TestNGramRetrieval(t *testing.T) {
 		t.Fatalf("hit rate = %v", g.HitRate())
 	}
 	// Unseen context: uniform.
-	g.Probs([]int{40, 41, 42}, 0, nil, 1, probs)
+	g.Probs([]int{40, 41, 42}, 0, nil, 1, probs, nil)
 	if probs[0] != probs[49] {
 		t.Fatal("miss should produce uniform distribution")
 	}
@@ -235,7 +236,7 @@ func TestNGramProbsSumToOne(t *testing.T) {
 	g := NewNGram(30, 1, 2)
 	g.Observe([]int{1, 2, 3}, 0)
 	probs := make([]float32, 30)
-	g.Probs([]int{1, 2}, 0, nil, 1, probs)
+	g.Probs([]int{1, 2}, 0, nil, 1, probs, nil)
 	var sum float64
 	for _, p := range probs {
 		sum += float64(p)

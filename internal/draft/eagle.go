@@ -222,16 +222,8 @@ func hashPair(a, b uint64) uint64 {
 	return h
 }
 
-// Probs implements Drafter.
-func (e *Eagle) Probs(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32) {
-	sc := scratchPool.Get().(*model.Scratch)
-	e.ProbsBuf(tokens, promptLen, hidden, temp, dst, sc)
-	scratchPool.Put(sc)
-}
-
-// ProbsBuf implements draft.BufferedDrafter: Probs scoring into a
-// caller-owned scratch, allocation-free in steady state.
-func (e *Eagle) ProbsBuf(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32, sc *model.Scratch) {
+// Probs implements Drafter, allocation-free in steady state.
+func (e *Eagle) Probs(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32, sc *model.Scratch) {
 	var featBuf [80]int
 	feats := e.features(tokens, promptLen, hidden, featBuf[:0])
 	logits := sc.Logits(e.cfg.Vocab)
@@ -338,9 +330,10 @@ func (e *Eagle) TopKAccuracy(examples []*Example, k int) float64 {
 		return 0
 	}
 	probs := make([]float32, e.cfg.Vocab)
+	sc := model.NewScratch()
 	hits := 0
 	for _, ex := range examples {
-		e.Probs(ex.Tokens, ex.PromptLen, ex.Hidden, 1, probs)
+		e.Probs(ex.Tokens, ex.PromptLen, ex.Hidden, 1, probs, sc)
 		for _, v := range model.TopK(probs, k) {
 			if v == ex.TargetTok {
 				hits++

@@ -10,19 +10,9 @@ package draft
 // Deployments that want online adaptation simply serve the unfrozen
 // drafter and give up bit-reproducibility (losslessness in distribution
 // holds either way: verification never depends on proposal quality).
-//
-// Buffered drafters keep their allocation-free scoring entry.
-func Freeze(d Drafter) Drafter {
-	if bd, ok := d.(BufferedDrafter); ok {
-		return frozenBuffered{bd}
-	}
-	return frozen{d}
-}
+func Freeze(d Drafter) Drafter { return frozen{d} }
 
 // frozen embeds the Drafter interface value: only Drafter's methods are
 // promoted, so type assertions to Observer (or anything else the concrete
 // drafter implements) fail.
 type frozen struct{ Drafter }
-
-// frozenBuffered additionally forwards ProbsBuf.
-type frozenBuffered struct{ BufferedDrafter }

@@ -69,8 +69,8 @@ func (g *NGram) Observe(tokens []int, promptLen int) {
 
 // Probs implements Drafter: longest-match retrieval with mass Confidence
 // on the retrieved token and the remainder spread uniformly; uniform when
-// nothing matches.
-func (g *NGram) Probs(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32) {
+// nothing matches. It needs no scratch.
+func (g *NGram) Probs(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32, _ *model.Scratch) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	uniform := float32(1) / float32(g.vocab)

@@ -45,12 +45,7 @@ func (s *SmallLM) LM() *model.LM { return s.lm }
 
 // Probs implements Drafter. Hidden states are ignored: a vanilla small
 // model has no access to target internals.
-func (s *SmallLM) Probs(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32) {
-	s.lm.Probs(model.Context{Tokens: tokens, PromptLen: promptLen}, nil, temp, dst)
-}
-
-// ProbsBuf implements draft.BufferedDrafter.
-func (s *SmallLM) ProbsBuf(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32, sc *model.Scratch) {
+func (s *SmallLM) Probs(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32, sc *model.Scratch) {
 	s.lm.ProbsScratch(model.Context{Tokens: tokens, PromptLen: promptLen}, nil, temp, dst, sc)
 }
 

@@ -88,10 +88,10 @@ func runBatching(opts Options) (*Result, error) {
 		{name: "run-to-completion", maxBatch: 1},
 		{name: "continuous-4", maxBatch: 4},
 		{name: "continuous-16", maxBatch: 16},
-		// The wide arm rides the bitmap scheduler core: a 64-deep
-		// co-batching window is only worth offering because per-request
-		// step cost stays flat past one occupancy word (sched/batch-step-64
-		// vs batch-step-8 in BENCH).
+		// The wide arm's window spans a full occupancy word of the bitmap
+		// scheduler core. Its host cost per request is not flat: sched's
+		// BenchmarkBatchStep64 measured 1.03–1.24× BenchmarkBatchStep per
+		// request on a 2-vCPU Xeon KVM guest.
 		{name: "continuous-64", maxBatch: 64},
 	}
 	// With tracing requested, the continuous-16 arm records every request's

@@ -256,7 +256,7 @@ func runChaosArm(b *bench, failover bool, arrivals []workload.Arrival, plan clus
 		return arm
 	}
 	defer cl.Stop()
-	mon := cl.NewMonitor(cluster.MonitorConfig{HangPolls: 10})
+	mon := cl.NewMonitor()
 	clock := &vclock.Clock{}
 
 	var faults, revives []cluster.FaultEvent

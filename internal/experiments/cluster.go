@@ -147,8 +147,6 @@ func runClusterArm(b *bench, policy cluster.Policy, arrivals []workload.Arrival,
 			// One shard absorbs a window's baseline share of the offered
 			// load; the burst forces the full fleet.
 			TargetPerShard: float64(len(arrivals)) / float64(cfg.windows) / float64(cfg.shards) * 1.2,
-			MinServing:     1,
-			IdleThreshold:  2,
 		},
 	}, b.target, drafter)
 	if err != nil {

@@ -19,7 +19,7 @@ const (
 	// cost).
 	PhaseAdmitDrain Phase = iota
 	// PhasePrefill is the batched prompt forward for new admissions, plus
-	// the one-off SD-activation re-prefill (SwitchCost).
+	// the one-off SD-activation re-prefill (switchCost).
 	PhasePrefill
 	// PhaseDraft is the draft-model forward passes of an SD round.
 	PhaseDraft

@@ -203,26 +203,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-func TestGraphPlanSelection(t *testing.T) {
-	env := newEnv(t)
-	for _, plan := range []string{"bucketed", "single", "naive", "none"} {
-		cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
-		cfg.GraphPlan = plan
-		eng, err := New(cfg, env.target, env.eagle)
-		if err != nil {
-			t.Fatalf("plan %q: %v", plan, err)
-		}
-		if eng.Pool() == nil {
-			t.Fatalf("plan %q: nil pool", plan)
-		}
-	}
-	cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
-	cfg.GraphPlan = "bogus"
-	if _, err := New(cfg, env.target, env.eagle); err == nil {
-		t.Fatal("expected error for unknown plan")
-	}
-}
-
 func TestNilDeviceRejected(t *testing.T) {
 	env := newEnv(t)
 	if _, err := New(Config{}, env.target, nil); err == nil {

@@ -72,18 +72,9 @@ type Config struct {
 	Strategies []specdec.Params
 	// MAB configures the BEG-MAB tuner.
 	MAB mab.Config
-	// GraphPlan selects the CUDAGraph capture plan: "bucketed" (default),
-	// "single", "naive", or "none".
-	GraphPlan string
 	// HostOverhead is the fixed CPU-side cost per engine iteration
 	// (scheduling, sampling, detokenisation).
 	HostOverhead time.Duration
-	// SDHostOverhead is the additional CPU cost per SD iteration (tree
-	// construction, acceptance bookkeeping).
-	SDHostOverhead time.Duration
-	// SwitchCost is the one-off re-prefill cost when SD activates for a
-	// running batch (paper: ~3s at datacenter scale).
-	SwitchCost time.Duration
 	// KVBudgetBytes caps resident KV-cache bytes (paper §7, uniformly-long
 	// responses): when the decoding batch's KV exceeds the budget, excess
 	// requests queue instead of decoding, shrinking the running batch.
@@ -122,17 +113,23 @@ type Config struct {
 // DefaultConfig returns the paper's engine settings for a device.
 func DefaultConfig(dev *gpu.Device) Config {
 	return Config{
-		Device:         dev,
-		Temp:           0.9,
-		SDThreshold:    32,
-		Strategies:     mab.DefaultStrategies(),
-		MAB:            mab.DefaultConfig(),
-		GraphPlan:      "bucketed",
-		HostOverhead:   250 * time.Microsecond,
-		SDHostOverhead: 1200 * time.Microsecond,
-		SwitchCost:     4 * time.Millisecond,
+		Device:       dev,
+		Temp:         0.9,
+		SDThreshold:  32,
+		Strategies:   mab.DefaultStrategies(),
+		MAB:          mab.DefaultConfig(),
+		HostOverhead: 250 * time.Microsecond,
 	}
 }
+
+const (
+	// sdHostOverhead is the additional CPU cost per SD iteration (tree
+	// construction, acceptance bookkeeping).
+	sdHostOverhead = 1200 * time.Microsecond
+	// switchCost is the one-off re-prefill cost when SD activates for a
+	// running batch (paper: ~3s at datacenter scale).
+	switchCost = 4 * time.Millisecond
+)
 
 // StepProfile is one scheduler iteration's record (Fig. 14 data).
 type StepProfile struct {
@@ -315,23 +312,8 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Batch, error) {
 		if draftArch.Layers == 0 {
 			draftArch = gpu.DraftArch(target.Arch())
 		}
-		var plan cudagraph.Plan
-		switch cfg.GraphPlan {
-		case "", "bucketed":
-			plan = cudagraph.BucketedPlan(target.Arch(), draftArch, cfg.Device.TP,
-				cfg.Strategies, cfg.MAB.Thresholds, cudagraph.DefaultBuckets)
-		case "single":
-			plan = cudagraph.SinglePlan(target.Arch(), draftArch, cfg.Device.TP,
-				cfg.Strategies[0], cudagraph.DefaultBuckets)
-		case "naive":
-			plan = cudagraph.NaiveMultiPlan(target.Arch(), draftArch, cfg.Device.TP,
-				cfg.Strategies, cudagraph.DefaultBuckets)
-		case "none":
-			plan = cudagraph.Plan{Name: "none"}
-		default:
-			return nil, fmt.Errorf("sched: unknown graph plan %q", cfg.GraphPlan)
-		}
-		b.pool = cudagraph.NewPool(plan)
+		b.pool = cudagraph.NewPool(cudagraph.BucketedPlan(target.Arch(), draftArch, cfg.Device.TP,
+			cfg.Strategies, cfg.MAB.Thresholds, cudagraph.DefaultBuckets))
 		b.stats.GraphMemBytes = b.pool.MemBytes()
 	}
 	return b, nil
@@ -698,9 +680,9 @@ func (b *Batch) Step(rng *rand.Rand) (StepProfile, bool) {
 		// drafter state (paper §6.4: completes within seconds). Runs
 		// that start in SD need no switch.
 		b.stats.SwitchCount++
-		b.Clock.Advance(b.cfg.SwitchCost)
+		b.Clock.Advance(switchCost)
 		// The activation switch is a re-prefill of the running batch.
-		ph.add(PhasePrefill, b.cfg.SwitchCost)
+		ph.add(PhasePrefill, switchCost)
 	}
 	b.sdActive = useSD
 
@@ -1117,7 +1099,7 @@ func (b *Batch) sdStep(active []*Request, rng *rand.Rand) StepProfile {
 
 	kv := kvTokens(active)
 	var draftCost time.Duration
-	sdHost := b.cfg.SDHostOverhead
+	sdHost := sdHostOverhead
 
 	// Drafting: one sequential pass per depth over the batch frontier.
 	draftArch := b.drafter.Arch()

@@ -211,11 +211,8 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Server, error) {
 		cfg.QueueDepth = 64
 	}
 	if cfg.MaxBatch < 1 {
-		// The bitmap scheduler core keeps per-step selection cost flat in
-		// batch width (sched/batch-step-64 tracks batch-step-8 per-request
-		// in BENCH), so the default co-batching window is 16, not the 8
-		// the slice-scan core shipped with. Not higher: the default
-		// engine's SDThreshold is 32, and a default worth of co-batched
+		// The default co-batching window is 16 because the default
+		// engine's SDThreshold is 32: a default worth of co-batched
 		// requests should stay comfortably inside the speculative-decoding
 		// regime rather than silently tipping replicas into vanilla mode.
 		cfg.MaxBatch = 16
@@ -524,17 +521,6 @@ func (s *Server) Crashed() bool { return s.crashed.Load() }
 // DupSuppressed returns how many terminal events the per-request delivery
 // dedup swallowed (each one a would-have-been duplicate delivery).
 func (s *Server) DupSuppressed() int64 { return s.dupSuppressed.Load() }
-
-// TailHistograms returns clones of the latency and TTFT histograms, for
-// exact bucket-wise merging into cluster-level tail percentiles.
-// metrics.Histogram.Merge is deterministic and order-independent, so
-// merged p99.9s do not drift run to run — and the merged tail buckets
-// keep their exemplar request IDs.
-func (s *Server) TailHistograms() (lats, ttfts *metrics.Histogram) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lats.Clone(), s.ttfts.Clone()
-}
 
 // QueueLen returns the number of admitted jobs not yet picked up by a
 // replica.

@@ -302,8 +302,8 @@ func (e *Engine) Status() []SpecStatus {
 	return out
 }
 
-// BurnRate returns the maximum fast-window burn across all specs — the
-// control signal admission and routing consume. Nil-safe (0 when unset).
+// BurnRate returns the maximum fast-window burn across all specs, which
+// cluster.Stats reports per shard. Nil-safe (0 when unset).
 func (e *Engine) BurnRate() float64 {
 	if e == nil {
 		return 0

@@ -36,9 +36,9 @@
 // so a lazily scored row is bit-identical to the row a whole-tree pass
 // computes; an eager reference in the tests pins this.
 //
-// StepBatch ≡ Step rests on one drafter invariant: Probs/ProbsBuf may
-// read and mutate only drafter-owned state plus the scratch passed in,
-// never the target model or verification state, and drafting consumes no
+// StepBatch ≡ Step rests on one drafter invariant: Probs may read and
+// mutate only drafter-owned state plus the scratch passed in, never the
+// target model or verification state, and drafting consumes no
 // randomness. Verification in turn never touches drafter state. Drafting
 // sequence i+1 after verifying sequence i therefore drafts the same tree
 // a separate Step would, and rngs[i] is drawn from in exactly the order
@@ -305,7 +305,6 @@ func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, tokens []int, promptLen
 	sc.deep.Sketch = hidden.Sketch
 	sc.deep.TopTokens = nil
 	sc.qBuf = ensureF32(sc.qBuf, vocab)
-	bd, buffered := d.(draft.BufferedDrafter)
 
 	// The sequence grows a few tokens every round, so exact-fit growth
 	// would reallocate once per round forever; headroom keeps steady-state
@@ -332,11 +331,7 @@ func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, tokens []int, promptLen
 			if pi >= 0 {
 				h = &sc.deep
 			}
-			if buffered {
-				bd.ProbsBuf(ctx, promptLen, h, e.draftTemp(), sc.qBuf, sc.msc)
-			} else {
-				d.Probs(ctx, promptLen, h, e.draftTemp(), sc.qBuf)
-			}
+			d.Probs(ctx, promptLen, h, e.draftTemp(), sc.qBuf, sc.msc)
 			e.applyBiasToDraft(sc.qBuf, bias)
 			res.DraftedNodes++
 			parentProb := 1.0

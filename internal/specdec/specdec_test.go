@@ -331,7 +331,7 @@ func (d *pathDrafter) tokenAt(pos int) int { return pos % d.vocab }
 func (d *pathDrafter) Name() string   { return "path" }
 func (d *pathDrafter) Arch() gpu.Arch { return gpu.Arch{} }
 
-func (d *pathDrafter) Probs(tokens []int, _ int, _ *model.HiddenState, _ float64, dst []float32) {
+func (d *pathDrafter) Probs(tokens []int, _ int, _ *model.HiddenState, _ float64, dst []float32, _ *model.Scratch) {
 	d.ctxs = append(d.ctxs, append([]int(nil), tokens...))
 	for i := range dst {
 		dst[i] = 0

@@ -296,16 +296,7 @@ func newSpotSetup(t testing.TB) (*Trainer, *model.LM, *tokenizer.Tokenizer) {
 	}
 	target := model.New(mcfg, &model.GrammarPrior{AnswerID: tk.Answer(), EosID: tk.Eos(), DigitIDs: digits})
 	drafter := draft.NewEagle(draft.EagleDefault(tk.VocabSize(), gpu.Qwen7B))
-	buffer := NewDataBuffer(500)
-	ckpt := NewCheckpointer(t.TempDir(), SelectiveAsync)
-	cfg := DefaultTrainerConfig(gpu.NewDevice(gpu.H100, 1), gpu.Qwen7B)
-	tr := NewTrainer(cfg, drafter, target, buffer, ckpt)
-	// Drain background checkpoint writes before TempDir cleanup.
-	t.Cleanup(func() {
-		if err := tr.Ckpt.Wait(); err != nil {
-			t.Errorf("checkpoint background write: %v", err)
-		}
-	})
+	tr := NewTrainer(gpu.NewDevice(gpu.H100, 1), drafter, target, NewDataBuffer(500))
 	return tr, target, tk
 }
 
@@ -339,9 +330,6 @@ func TestRunWindowTrainsWithinBudget(t *testing.T) {
 	if stats.Examples == 0 || stats.Sequences == 0 {
 		t.Fatalf("consumption not accounted: %+v", stats)
 	}
-	if err := tr.Ckpt.Wait(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRunWindowPreemption(t *testing.T) {
@@ -350,7 +338,7 @@ func TestRunWindowPreemption(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	// A tight budget fits some batches but not all: the window must
 	// report preemption and stop in time.
-	one := tr.Cfg.Device.TrainStepCost(tr.Drafter.Arch(), tr.Cfg.PackCapacity*tr.Cfg.RowsPerBatch)
+	one := tr.Device.TrainStepCost(tr.Drafter.Arch(), packCapacity*rowsPerBatch)
 	stats := tr.RunWindow(3*one, rng)
 	if !stats.Preempted {
 		t.Fatalf("expected preemption: %+v", stats)
@@ -388,24 +376,4 @@ func TestRunWindowImprovesDrafter(t *testing.T) {
 		t.Fatalf("spot training did not improve drafter: %.3f -> %.3f", before, after)
 	}
 	t.Logf("drafter top-3: %.3f -> %.3f (%d batches)", before, after, tr.TotalBatches)
-}
-
-func TestPackingAblationThroughput(t *testing.T) {
-	// With packing disabled the same window trains on fewer real tokens.
-	run := func(packing bool) WindowStats {
-		tr, target, tk := newSpotSetup(t)
-		tr.Cfg.Packing = packing
-		tr.Cfg.CkptEveryBatches = 0
-		fillBuffer(t, tr, target, tk, 80, 12)
-		return tr.RunWindow(500*time.Millisecond, rand.New(rand.NewSource(13)))
-	}
-	packed := run(true)
-	padded := run(false)
-	rPacked := float64(packed.RealTokens) / packed.Used.Seconds()
-	rPadded := float64(padded.RealTokens) / padded.Used.Seconds()
-	if rPacked <= rPadded {
-		t.Fatalf("packing should raise real-token throughput: %.0f vs %.0f tok/s", rPacked, rPadded)
-	}
-	t.Logf("real-token training throughput: packed %.0f tok/s, padded %.0f tok/s (%.2fx)",
-		rPacked, rPadded, rPacked/rPadded)
 }

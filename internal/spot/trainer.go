@@ -9,42 +9,12 @@ import (
 	"fastrl/internal/model"
 )
 
-// TrainerConfig parameterises spot-training windows.
-type TrainerConfig struct {
-	// Device executes the (virtual) training steps.
-	Device *gpu.Device
-	// PackCapacity is the packed-row token capacity.
-	PackCapacity int
-	// RowsPerBatch is how many packed rows one optimiser step consumes.
-	RowsPerBatch int
-	// CkptEveryBatches triggers a checkpoint after this many batches
-	// (frequent checkpointing bounds preemption loss).
-	CkptEveryBatches int
-	// Packing disables zero-padding packing when false (ablation).
-	Packing bool
-	// TrainableBytes / FrozenBytes are the full-scale drafter sizes used
-	// for checkpoint latency modelling.
-	TrainableBytes int64
-	FrozenBytes    int64
-}
-
-// DefaultTrainerConfig returns spot-trainer settings for a target
-// architecture.
-func DefaultTrainerConfig(dev *gpu.Device, target gpu.Arch) TrainerConfig {
-	d := gpu.DraftArch(target)
-	// Trainable = the single decoder layer; frozen = embedding + head.
-	layer := 12 * float64(d.HiddenDim) * float64(d.HiddenDim) * d.BytesPer
-	frozen := 2 * float64(d.VocabSize) * float64(d.HiddenDim) * d.BytesPer
-	return TrainerConfig{
-		Device:           dev,
-		PackCapacity:     1024,
-		RowsPerBatch:     4,
-		CkptEveryBatches: 8,
-		Packing:          true,
-		TrainableBytes:   int64(layer),
-		FrozenBytes:      int64(frozen),
-	}
-}
+const (
+	// packCapacity is the packed-row token capacity.
+	packCapacity = 1024
+	// rowsPerBatch is how many packed rows one optimiser step consumes.
+	rowsPerBatch = 4
+)
 
 // WindowStats summarises one spot-training window.
 type WindowStats struct {
@@ -58,9 +28,6 @@ type WindowStats struct {
 	PadTokens  int
 	// Used is the virtual time consumed (<= the window budget).
 	Used time.Duration
-	// CkptCount and CkptBlocking account checkpoint overhead.
-	CkptCount    int
-	CkptBlocking time.Duration
 	// Preempted reports whether the window ended on budget exhaustion
 	// with work remaining.
 	Preempted bool
@@ -68,11 +35,11 @@ type WindowStats struct {
 
 // Trainer runs preemptible drafter training windows over the DataBuffer.
 type Trainer struct {
-	Cfg     TrainerConfig
+	// Device executes the (virtual) training steps.
+	Device  *gpu.Device
 	Drafter *draft.Eagle
 	Target  *model.LM
 	Buffer  *DataBuffer
-	Ckpt    *Checkpointer
 
 	// Totals across windows.
 	TotalBatches int
@@ -80,14 +47,8 @@ type Trainer struct {
 }
 
 // NewTrainer wires a spot trainer.
-func NewTrainer(cfg TrainerConfig, drafter *draft.Eagle, target *model.LM, buffer *DataBuffer, ckpt *Checkpointer) *Trainer {
-	if cfg.PackCapacity < 1 {
-		cfg.PackCapacity = 1024
-	}
-	if cfg.RowsPerBatch < 1 {
-		cfg.RowsPerBatch = 1
-	}
-	return &Trainer{Cfg: cfg, Drafter: drafter, Target: target, Buffer: buffer, Ckpt: ckpt}
+func NewTrainer(dev *gpu.Device, drafter *draft.Eagle, target *model.LM, buffer *DataBuffer) *Trainer {
+	return &Trainer{Device: dev, Drafter: drafter, Target: target, Buffer: buffer}
 }
 
 // RunWindow trains until the virtual budget is exhausted or the buffer
@@ -97,8 +58,7 @@ func NewTrainer(cfg TrainerConfig, drafter *draft.Eagle, target *model.LM, buffe
 func (t *Trainer) RunWindow(budget time.Duration, rng *rand.Rand) WindowStats {
 	var stats WindowStats
 	for stats.Used < budget {
-		tokenBudget := t.Cfg.PackCapacity * t.Cfg.RowsPerBatch
-		batch := t.Buffer.SampleBatch(tokenBudget, rng)
+		batch := t.Buffer.SampleBatch(packCapacity*rowsPerBatch, rng)
 		if len(batch) == 0 {
 			break
 		}
@@ -110,20 +70,11 @@ func (t *Trainer) RunWindow(budget time.Duration, rng *rand.Rand) WindowStats {
 		}
 
 		// Account the batch's GPU cost: packed rows process only real
-		// tokens; padded batching pays for pad slots too.
-		var tokens int
-		if t.Cfg.Packing {
-			_, ps := Pack(lens, t.Cfg.PackCapacity)
-			stats.RealTokens += ps.RealTokens
-			stats.PadTokens += ps.PadTokens
-			tokens = ps.RealTokens + ps.PadTokens
-		} else {
-			ps := PadBatches(lens, t.Cfg.RowsPerBatch)
-			stats.RealTokens += ps.RealTokens
-			stats.PadTokens += ps.PadTokens
-			tokens = ps.RealTokens + ps.PadTokens
-		}
-		cost := t.Cfg.Device.TrainStepCost(t.Drafter.Arch(), tokens)
+		// tokens plus each row's unfilled tail.
+		_, ps := Pack(lens, packCapacity)
+		stats.RealTokens += ps.RealTokens
+		stats.PadTokens += ps.PadTokens
+		cost := t.Device.TrainStepCost(t.Drafter.Arch(), ps.RealTokens+ps.PadTokens)
 		if stats.Used+cost > budget && stats.Batches > 0 {
 			// Preempted: the next batch does not fit.
 			stats.Preempted = true
@@ -135,15 +86,6 @@ func (t *Trainer) RunWindow(budget time.Duration, rng *rand.Rand) WindowStats {
 		stats.Sequences += len(batch)
 		stats.Examples += len(examples)
 		stats.Used += cost
-
-		if t.Ckpt != nil && t.Cfg.CkptEveryBatches > 0 && stats.Batches%t.Cfg.CkptEveryBatches == 0 {
-			cs, err := t.Ckpt.Save(t.Drafter, t.Cfg.TrainableBytes, t.Cfg.FrozenBytes)
-			if err == nil {
-				stats.CkptCount++
-				stats.CkptBlocking += cs.Blocking
-				stats.Used += cs.Blocking
-			}
-		}
 	}
 	t.TotalBatches += stats.Batches
 	t.TotalTime += stats.Used

@@ -228,9 +228,6 @@ type Config struct {
 	// finished traces are dropped (counted) and their arenas recycled, so
 	// a long-running traced server holds bounded memory. Default 16384.
 	MaxRequests int
-	// Flight, when non-nil, mirrors every recorded span into this ring
-	// (the default for traces started without an explicit recorder).
-	Flight *FlightRecorder
 }
 
 func (c Config) withDefaults() Config {
@@ -263,9 +260,9 @@ func New(cfg Config) *Tracer {
 }
 
 // Start begins a trace for one request on one shard. fr, when non-nil,
-// overrides the tracer-level flight recorder for this request (cluster
-// shards pass their own ring). Start on a nil Tracer returns nil, which
-// every ReqTrace method accepts.
+// receives a mirror of every recorded span (cluster shards pass their own
+// ring). Start on a nil Tracer returns nil, which every ReqTrace method
+// accepts.
 func (t *Tracer) Start(reqID int64, shard int32, fr *FlightRecorder) *ReqTrace {
 	if t == nil {
 		return nil
@@ -289,11 +286,7 @@ func (t *Tracer) Start(reqID int64, shard int32, fr *FlightRecorder) *ReqTrace {
 	rt.submitted = 0
 	rt.closed = false
 	rt.t = t
-	if fr != nil {
-		rt.fr = fr
-	} else {
-		rt.fr = t.cfg.Flight
-	}
+	rt.fr = fr
 	return rt
 }
 
