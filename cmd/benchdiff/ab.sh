@@ -19,14 +19,17 @@ head=$(cd "$2" && pwd)
 src=$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)
 out="$(pwd)/.bench_build/ab"
 
-# The pinned set follows the rl-longtail CPU profile (spot training 43%,
-# the scheduler step 33%, harvest 16%) plus the serving path. One line per
-# package under internal/: the package, then the exact names of its pinned
-# benchmarks.
+# The pinned set follows the rl-longtail CPU profile (spot training 55%, on
+# its own goroutine and the step's critical path; the scheduler step 32%;
+# harvest 6%) plus the serving path. One line per package under internal/:
+# the package, then the exact names of its pinned benchmarks. A benchmark
+# that only head has is reported as new and not gated, so a newly pinned
+# one, such as BenchmarkRunWindow, has no base side in its first run.
 pinned=(
 	"sched BenchmarkBatchStep BenchmarkBatchStep16 BenchmarkBatchStep64"
 	"specdec BenchmarkSpecRound BenchmarkVanillaStep BenchmarkStepBatch"
 	"draft BenchmarkEagleTrainBatch BenchmarkHarvestExamples"
+	"spot BenchmarkRunWindow"
 	"serving BenchmarkStreamServe"
 	"prefixcache BenchmarkLookup"
 	"metrics BenchmarkHistogramRecord"

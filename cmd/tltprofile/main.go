@@ -70,7 +70,7 @@ func main() {
 		for _, task := range gen.Sample(60) {
 			seq := model.Generate(target, task.Prompt, nil, 0.9, 64, tk.Eos(), rng)
 			examples = append(examples, draft.HarvestExamples(target,
-				model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, true)...)
+				model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, e.FusedHiddens(), true)...)
 		}
 		for ep := 0; ep < 3; ep++ {
 			e.Train(examples, nil, rng)

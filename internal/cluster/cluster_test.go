@@ -37,7 +37,7 @@ func clusterSetup(t testing.TB) (*model.LM, *draft.Eagle, *tokenizer.Tokenizer, 
 	for _, task := range gen.SampleSeeded(20, 11) {
 		seq := model.Generate(target, task.Prompt, nil, 0.9, 40, tk.Eos(), rng)
 		examples = append(examples, draft.HarvestExamples(target,
-			model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, true)...)
+			model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, e.FusedHiddens(), true)...)
 	}
 	for i := 0; i < 2; i++ {
 		e.Train(examples, nil, rng)

@@ -12,6 +12,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"fastrl/internal/coordinator"
@@ -228,20 +230,59 @@ func (s *System) drafter() draft.Drafter {
 
 // WarmUpDrafter pre-trains the learned drafter on base-model rollouts,
 // the paper's OpenThoughts warm-up phase. No-op for other system kinds.
+// Every prompt is generated first, in order, from the one shared rng; the
+// harvest, which draws nothing, then runs in parallel.
 func (s *System) WarmUpDrafter(prompts, epochs int) {
 	if s.Eagle == nil {
 		return
 	}
 	rng := rand.New(rand.NewSource(s.Cfg.Seed ^ 0xbeef))
-	var examples []*draft.Example
+	var seqs []model.Context
 	for _, task := range s.Tasks.SampleSeeded(prompts, s.Cfg.Seed^0xbeef) {
 		seq := model.Generate(s.Target, task.Prompt, nil, s.Cfg.RL.Temp, 64, s.Tk.Eos(), rng)
-		examples = append(examples,
-			draft.HarvestExamples(s.Target, model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, true)...)
+		seqs = append(seqs, model.Context{Tokens: seq, PromptLen: len(task.Prompt)})
+	}
+	var examples []*draft.Example
+	for _, exs := range s.harvest(seqs) {
+		examples = append(examples, exs...)
 	}
 	for e := 0; e < epochs; e++ {
 		s.Eagle.Train(examples, nil, rng)
 	}
+}
+
+// harvest runs draft.HarvestExamples over seqs for the system's Eagle on
+// at most GOMAXPROCS goroutines and returns the examples in seqs' order.
+func (s *System) harvest(seqs []model.Context) [][]*draft.Example {
+	out := make([][]*draft.Example, len(seqs))
+	layers := s.Eagle.FusedHiddens()
+	forEach(len(seqs), runtime.GOMAXPROCS(0), func(i int) {
+		out[i] = draft.HarvestExamples(s.Target, seqs[i], layers, true)
+	})
+	return out
+}
+
+// forEach calls fn(i) for every i in [0, n) on at most width goroutines,
+// the calling one included, which take indices in turn, and returns once
+// every call has returned. At width 1 the calling goroutine makes every
+// call, in index order.
+func forEach(n, width int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 1; g < min(width, n); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // StepStats records one RL step's timing and learning metrics.
@@ -274,7 +315,9 @@ type StepStats struct {
 	Profiles [][]sched.StepProfile
 }
 
-// Step advances one full RL step.
+// Step advances one full RL step. It runs the rollout workers, the
+// harvest and spot training on several goroutines and joins them all
+// before it returns; its results do not depend on GOMAXPROCS.
 func (s *System) Step() (StepStats, error) {
 	s.step++
 	stats := StepStats{Step: s.step}
@@ -289,6 +332,22 @@ func (s *System) Step() (StepStats, error) {
 		return stats, err
 	}
 
+	// TLT: spot training runs on its own goroutine from the rollout
+	// barrier, alongside the inference stage and the harvest below.
+	training := s.Cfg.Kind == TLT && !s.Cfg.DisableSpot
+	var (
+		spotWG      sync.WaitGroup
+		spotBatches int
+		spotTime    time.Duration
+	)
+	if training {
+		spotWG.Add(1)
+		go func(finishes []time.Duration, rolloutEnd time.Duration) {
+			defer spotWG.Done()
+			spotBatches, spotTime = s.runSpotTraining(finishes, rolloutEnd)
+		}(stats.WorkerFinish, stats.Rollout)
+	}
+
 	// ---- Inference stage: prefill responses through policy + reference.
 	s.Trainer.ScoreGroups(groups)
 	s.Trainer.ComputeAdvantages(groups)
@@ -298,14 +357,26 @@ func (s *System) Step() (StepStats, error) {
 
 	// TLT: harvest drafter training data from the inference prefill (the
 	// hidden states are produced here anyway; the paper caches them).
-	if s.Cfg.Kind == TLT && !s.Cfg.DisableSpot {
+	var harvested [][]*draft.Example
+	if training {
+		var seqs []model.Context
 		for _, g := range groups {
 			for _, r := range g {
-				exs := draft.HarvestExamples(s.Target,
-					model.Context{Tokens: r.Full, PromptLen: r.PromptLen}, true)
-				s.Buffer.Add(spot.Sequence{Examples: exs})
+				seqs = append(seqs, model.Context{Tokens: r.Full, PromptLen: r.PromptLen})
 			}
 		}
+		harvested = s.harvest(seqs)
+	}
+
+	// Join spot training before the harvest enters the DataBuffer, whose
+	// SampleBatch would mix it into this step's training, and before
+	// ApplyUpdates writes the target that Eagle.Train reads when it
+	// unrolls.
+	spotWG.Wait()
+	stats.SpotBatches, stats.SpotTime = spotBatches, spotTime
+	stats.IdleTime = max(0, s.idleTime(stats.WorkerFinish, stats.Rollout)-spotTime)
+	for _, exs := range harvested {
+		s.Buffer.Add(spot.Sequence{Examples: exs})
 	}
 
 	// ---- Training stage: policy update (data parallel over workers).
@@ -338,8 +409,13 @@ func (s *System) Step() (StepStats, error) {
 	return stats, nil
 }
 
-// runRollout executes the rollout stage across workers and, for TLT,
-// drafter spot training on workers as they go idle.
+// runRollout executes the rollout stage across workers and advances the
+// clock to its barrier. The workers' engines run on at most GOMAXPROCS
+// goroutines, which take workers in turn; their results fold in worker
+// order, so no figure depends on GOMAXPROCS. A drafter that learns online
+// (a draft.Observer: TLT-Base's n-gram) runs the workers one after another
+// in worker order instead, because worker w's tokens must reach it before
+// worker w+1 drafts.
 func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Rollout, error) {
 	W := s.Cfg.Cluster.Workers()
 	rolloutWorkers := W
@@ -376,17 +452,30 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 		perWorker[w] = append(perWorker[w], sl.req)
 	}
 
-	// Run each worker's engine; collect finish times and stats.
-	finishes := make([]time.Duration, rolloutWorkers)
-	var acceptSum float64
-	var acceptN int
-	for w := 0; w < rolloutWorkers; w++ {
+	// Build every engine before any runs, so an error starts no goroutine.
+	engines := make([]*sched.Batch, rolloutWorkers)
+	for w := range engines {
 		eng, err := s.newEngine()
 		if err != nil {
 			return nil, err
 		}
+		engines[w] = eng
+	}
+	width := runtime.GOMAXPROCS(0)
+	if _, ok := s.drafter().(draft.Observer); ok {
+		width = 1
+	}
+	results := make([]sched.Stats, rolloutWorkers)
+	forEach(rolloutWorkers, width, func(w int) {
 		wrng := rand.New(rand.NewSource(s.Cfg.Seed ^ int64(s.step)<<20 ^ int64(w)))
-		rs := eng.Run(perWorker[w], wrng, 0)
+		results[w] = engines[w].Run(perWorker[w], wrng, 0)
+	})
+
+	// Collect finish times and stats.
+	finishes := make([]time.Duration, rolloutWorkers)
+	var acceptSum float64
+	var acceptN int
+	for w, rs := range results {
 		finishes[w] = rs.Elapsed
 		stats.Profiles = append(stats.Profiles, rs.Profile)
 		if rs.AcceptRounds > 0 {
@@ -408,29 +497,6 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 	stats.Rollout = rolloutEnd
 	s.Clock.Advance(rolloutEnd)
 
-	// Idle accounting + spot training in the tail.
-	order := make([]int, rolloutWorkers)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return finishes[order[i]] < finishes[order[j]] })
-	var idle time.Duration
-	for _, w := range order[:len(order)-1] {
-		idle += rolloutEnd - finishes[w]
-	}
-	// Disaggregated baseline: the training half idles through rollout.
-	if s.Cfg.Kind == OpenR1 {
-		idle += time.Duration(W-rolloutWorkers) * rolloutEnd
-	}
-
-	if s.Cfg.Kind == TLT && !s.Cfg.DisableSpot {
-		idle -= s.runSpotTraining(order, finishes, rolloutEnd, stats)
-	}
-	if idle < 0 {
-		idle = 0
-	}
-	stats.IdleTime = idle
-
 	// Reassemble groups.
 	groups := make([][]*rl.Rollout, len(tasks))
 	for _, sl := range slots {
@@ -445,11 +511,33 @@ func (s *System) runRollout(tasks []workload.Task, stats *StepStats) ([][]*rl.Ro
 	return groups, nil
 }
 
-// runSpotTraining drives the coordinator over worker-idle events and
-// spends the granted windows on drafter training. Returns the idle time
-// consumed.
-func (s *System) runSpotTraining(order []int, finishes []time.Duration, rolloutEnd time.Duration, stats *StepStats) time.Duration {
-	var used time.Duration
+// idleTime returns the GPU-worker time left idle during rollout before
+// spot training uses any of it: each worker's wait for the rollout
+// barrier, plus, for the disaggregated baseline, the training half idling
+// through the whole rollout.
+func (s *System) idleTime(finishes []time.Duration, rolloutEnd time.Duration) time.Duration {
+	var idle time.Duration
+	for _, f := range finishes {
+		idle += rolloutEnd - f
+	}
+	if s.Cfg.Kind == OpenR1 {
+		idle += time.Duration(s.Cfg.Cluster.Workers()-len(finishes)) * rolloutEnd
+	}
+	return idle
+}
+
+// runSpotTraining drives the coordinator over worker-idle events, in
+// finish order, and spends the granted windows on drafter training with
+// one rng. Step runs it on its own goroutine from the rollout barrier, so
+// it reads the buffer and the target and writes the drafter and the
+// coordinator while nothing else does. Returns the batches trained and the
+// idle time consumed.
+func (s *System) runSpotTraining(finishes []time.Duration, rolloutEnd time.Duration) (batches int, used time.Duration) {
+	order := make([]int, len(finishes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return finishes[order[i]] < finishes[order[j]] })
 	trainRng := rand.New(rand.NewSource(s.Cfg.Seed ^ int64(s.step)*7919))
 	for _, w := range order {
 		if finishes[w] >= rolloutEnd {
@@ -466,15 +554,14 @@ func (s *System) runSpotTraining(order []int, finishes []time.Duration, rolloutE
 					continue
 				}
 				ws := s.Spot.RunWindow(window, trainRng)
-				stats.SpotBatches += ws.Batches
-				stats.SpotTime += ws.Used
+				batches += ws.Batches
 				used += ws.Used
 			}
 		}
 	}
 	// The rollout barrier preempts any ongoing session.
 	s.Coord.RolloutComplete(rolloutEnd)
-	return used
+	return batches, used
 }
 
 // newEngine builds a worker's rollout engine for the system kind.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -53,7 +54,8 @@ func TestSystemStepAllKinds(t *testing.T) {
 
 // TestStepDoesNotLeakGoroutines pins that an RL step leaves no goroutine
 // behind at GOMAXPROCS 2: the rollout batches it drops need no shutdown,
-// so nothing started by a step may outlive it.
+// and it joins the goroutines it starts, so nothing started by a step may
+// outlive it.
 func TestStepDoesNotLeakGoroutines(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
@@ -68,13 +70,72 @@ func TestStepDoesNotLeakGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A goroutine that has returned is not reaped synchronously; poll.
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines fails the test unless the process is back at base
+// goroutines within five seconds: a goroutine that has returned is not
+// reaped synchronously, so it polls.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d over 3 steps", base, runtime.NumGoroutine())
+			t.Fatalf("goroutines grew from %d to %d", base, runtime.NumGoroutine())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStepIndependentOfGOMAXPROCS pins that no figure of a step depends
+// on how many goroutines run it. TLT runs its rollout workers wide, spot
+// training beside the inference stage and the harvest in parallel;
+// TLT-Base's online n-gram drafter runs its workers one after another.
+// Each warms up and steps three times at GOMAXPROCS 1 and at 4: every
+// StepStats field and the weights (the Eagle drafter's and the target's)
+// must match, and the warm-up and each step must leave as many goroutines
+// as they found.
+func TestStepIndependentOfGOMAXPROCS(t *testing.T) {
+	run := func(t *testing.T, kind Kind, procs int) ([]StepStats, uint64) {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		// Short responses keep the race job's ten runs quick.
+		cfg := smallConfig(kind)
+		cfg.MaxNew = 32
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		sys.WarmUpDrafter(10, 1)
+		waitGoroutines(t, base)
+		var steps []StepStats
+		for i := 0; i < 3; i++ {
+			st, err := sys.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitGoroutines(t, base)
+			steps = append(steps, st)
+		}
+		return steps, weightHash(sys)
+	}
+	for _, kind := range []Kind{TLT, TLTBase} {
+		t.Run(kind.String(), func(t *testing.T) {
+			one, hashOne := run(t, kind, 1)
+			four, hashFour := run(t, kind, 4)
+			if kind == TLT && one[1].SpotBatches+one[2].SpotBatches == 0 {
+				t.Fatal("no spot training ran, so its overlap went untested")
+			}
+			for i := range one {
+				if !reflect.DeepEqual(one[i], four[i]) {
+					t.Fatalf("step %d differs:\n GOMAXPROCS 1: %+v\n GOMAXPROCS 4: %+v", i+1, one[i], four[i])
+				}
+			}
+			if hashOne != hashFour {
+				t.Fatalf("weights hash to %#016x at GOMAXPROCS 1 and %#016x at 4", hashOne, hashFour)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,7 @@ func BenchmarkEagleProbs(b *testing.B) {
 	lm, tk := newTarget(b)
 	e := NewEagle(EagleDefault(tk.VocabSize(), gpu.Qwen7B))
 	ctx := []int{tk.Bos(), tk.Digit(3), tk.MustID("+"), tk.Digit(4), tk.MustID("=")}
-	hidden := model.FusedHiddenInto(lm, model.Context{Tokens: ctx, PromptLen: len(ctx)}, 2, &model.HiddenState{}, model.NewScratch())
+	hidden := model.FusedHiddenInto(lm, model.Context{Tokens: ctx, PromptLen: len(ctx)}, e.FusedHiddens(), &model.HiddenState{}, model.NewScratch())
 	dst := make([]float32, tk.VocabSize())
 	sc := model.NewScratch()
 	b.ReportAllocs()
@@ -83,9 +83,11 @@ func BenchmarkHarvestExamples(b *testing.B) {
 	prompt := []int{tk.Bos(), tk.Digit(2), tk.MustID("+"), tk.Digit(2), tk.MustID("=")}
 	seq := model.Generate(lm, prompt, nil, 0.9, 64, tk.Eos(), rng)
 	ctx := model.Context{Tokens: seq, PromptLen: len(prompt)}
+	// The RL step harvests for TLT's Eagle, which reads one hidden layer.
+	layers := EagleDefault(tk.VocabSize(), gpu.Qwen7B).FusedHiddens
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HarvestExamples(lm, ctx, true)
+		HarvestExamples(lm, ctx, layers, true)
 	}
 }

@@ -19,17 +19,22 @@ var scratchPool = sync.Pool{New: func() any { return model.NewScratch() }}
 //
 // tokens is the full sequence so far (prompt + generated + previously
 // drafted tokens), promptLen the prompt prefix length, and hidden the
-// target model's hidden sketch at the drafting root (the last verified
-// position). Model-free drafters ignore hidden. dst receives the
-// distribution and must have vocabulary length. sc holds the intermediate
-// buffers (logits), so the drafting stage of a speculation round performs
-// zero heap allocations; model-free drafters, which need no logits
-// buffer, ignore it and accept nil.
+// target model's hidden state at the drafting root (the last verified
+// position), built by model.FusedHiddenInto for the drafter's
+// FusedHiddens. dst receives the distribution and must have vocabulary
+// length. sc holds the intermediate buffers (logits), so the drafting
+// stage of a speculation round performs zero heap allocations; model-free
+// drafters, which need no logits buffer, ignore it and accept nil.
 type Drafter interface {
 	Name() string
 	// Arch returns the cost-model architecture of the drafter. A zero
 	// Layers value marks a model-free drafter with no GPU forward cost.
 	Arch() gpu.Arch
+	// FusedHiddens is how many of the target's hidden layers Probs reads:
+	// 0 for drafters that ignore hidden (NGram, SmallLM), which then get
+	// nil, 1 for Eagle and HASS and 2 for Eagle-3. The drafting root and
+	// the harvest compute only those layers (see model.HiddenState).
+	FusedHiddens() int
 	Probs(tokens []int, promptLen int, hidden *model.HiddenState, temp float64, dst []float32, sc *model.Scratch)
 }
 
@@ -40,7 +45,7 @@ type Observer interface {
 }
 
 // Example is one drafter training sample harvested from the RL inference
-// (prefill) stage: the context, the target's hidden sketch at the context
+// (prefill) stage: the context, the target's hidden state at the context
 // end, and the target's next-token distribution and sampled next token.
 type Example struct {
 	// Tokens is the context prefix. Implementations treat it as read-only;

@@ -23,7 +23,8 @@ func newTarget(t testing.TB) (*model.LM, *tokenizer.Tokenizer) {
 }
 
 // sampleCorpus rolls the target over a few synthetic prompts and harvests
-// drafter training examples.
+// drafter training examples with Eagle-3's two hidden layers, so every
+// Eagle variant can train on it.
 func sampleCorpus(t testing.TB, lm *model.LM, tk *tokenizer.Tokenizer, nPrompts, maxNew int, seed int64) []*Example {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -31,7 +32,7 @@ func sampleCorpus(t testing.TB, lm *model.LM, tk *tokenizer.Tokenizer, nPrompts,
 	for i := 0; i < nPrompts; i++ {
 		prompt := []int{tk.Bos(), tk.Digit(rng.Intn(10)), tk.MustID("+"), tk.Digit(rng.Intn(10)), tk.MustID("=")}
 		seq := model.Generate(lm, prompt, nil, 1, maxNew, tk.Eos(), rng)
-		out = append(out, HarvestExamples(lm, model.Context{Tokens: seq, PromptLen: len(prompt)}, true)...)
+		out = append(out, HarvestExamples(lm, model.Context{Tokens: seq, PromptLen: len(prompt)}, 2, true)...)
 	}
 	if len(out) == 0 {
 		t.Fatal("no examples harvested")
@@ -268,29 +269,34 @@ func TestHarvestExamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	prompt := []int{tk.Bos(), tk.Digit(2), tk.MustID("+"), tk.Digit(2), tk.MustID("=")}
 	seq := model.Generate(lm, prompt, nil, 1, 30, tk.Eos(), rng)
-	exs := HarvestExamples(lm, model.Context{Tokens: seq, PromptLen: len(prompt)}, true)
-	if len(exs) != len(seq)-len(prompt) {
-		t.Fatalf("harvested %d examples from %d generated tokens", len(exs), len(seq)-len(prompt))
-	}
-	for i, ex := range exs {
-		if ex.TargetTok != seq[len(prompt)+i] {
-			t.Fatalf("example %d target token mismatch", i)
+	// One layer (Eagle, HASS) carries the top tokens alone; two
+	// (Eagle-3) carry two sketches as well.
+	for layers, sketchLen := range map[int]int{1: 0, 2: 2 * model.HiddenDim} {
+		exs := HarvestExamples(lm, model.Context{Tokens: seq, PromptLen: len(prompt)}, layers, true)
+		if len(exs) != len(seq)-len(prompt) {
+			t.Fatalf("harvested %d examples from %d generated tokens", len(exs), len(seq)-len(prompt))
 		}
-		if len(ex.Tokens) != len(prompt)+i {
-			t.Fatalf("example %d context length %d", i, len(ex.Tokens))
-		}
-		if len(ex.Hidden.Sketch) != 2*model.HiddenDim {
-			t.Fatalf("example %d fused hidden length %d", i, len(ex.Hidden.Sketch))
-		}
-		if ex.Target == nil {
-			t.Fatalf("example %d missing distribution", i)
-		}
-		if ex.SeqLen != len(seq)-len(prompt) {
-			t.Fatalf("example %d SeqLen = %d", i, ex.SeqLen)
+		for i, ex := range exs {
+			if ex.TargetTok != seq[len(prompt)+i] {
+				t.Fatalf("example %d target token mismatch", i)
+			}
+			if len(ex.Tokens) != len(prompt)+i {
+				t.Fatalf("example %d context length %d", i, len(ex.Tokens))
+			}
+			if len(ex.Hidden.Sketch) != sketchLen || len(ex.Hidden.TopTokens) != model.NumRankTokens {
+				t.Fatalf("%d layers: example %d has %d sketch floats and %d top tokens, want %d and %d",
+					layers, i, len(ex.Hidden.Sketch), len(ex.Hidden.TopTokens), sketchLen, model.NumRankTokens)
+			}
+			if ex.Target == nil {
+				t.Fatalf("example %d missing distribution", i)
+			}
+			if ex.SeqLen != len(seq)-len(prompt) {
+				t.Fatalf("example %d SeqLen = %d", i, ex.SeqLen)
+			}
 		}
 	}
 	// Empty response harvests nothing.
-	if got := HarvestExamples(lm, model.Context{Tokens: prompt, PromptLen: len(prompt)}, false); got != nil {
+	if got := HarvestExamples(lm, model.Context{Tokens: prompt, PromptLen: len(prompt)}, 1, false); got != nil {
 		t.Fatalf("expected nil for empty response, got %d", len(got))
 	}
 }

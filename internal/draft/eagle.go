@@ -130,6 +130,10 @@ func (e *Eagle) Name() string { return e.cfg.Variant }
 // Arch returns the drafter cost architecture.
 func (e *Eagle) Arch() gpu.Arch { return e.cfg.Arch }
 
+// FusedHiddens implements Drafter: the rank features read the root
+// distribution, and each fused sketch beyond the first adds a layer.
+func (e *Eagle) FusedHiddens() int { return e.cfg.FusedHiddens }
+
 // Config returns the configuration.
 func (e *Eagle) Config() EagleConfig { return e.cfg }
 

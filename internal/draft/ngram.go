@@ -67,6 +67,9 @@ func (g *NGram) Observe(tokens []int, promptLen int) {
 	}
 }
 
+// FusedHiddens implements Drafter: retrieval reads no hidden layer.
+func (g *NGram) FusedHiddens() int { return 0 }
+
 // Probs implements Drafter: longest-match retrieval with mass Confidence
 // on the retrieved token and the remainder spread uniformly; uniform when
 // nothing matches. It needs no scratch.

@@ -40,6 +40,9 @@ func (s *SmallLM) Name() string { return s.name }
 // Arch implements Drafter.
 func (s *SmallLM) Arch() gpu.Arch { return s.lm.Arch() }
 
+// FusedHiddens implements Drafter: a small LM reads no hidden layer.
+func (s *SmallLM) FusedHiddens() int { return 0 }
+
 // LM exposes the underlying model.
 func (s *SmallLM) LM() *model.LM { return s.lm }
 

@@ -371,13 +371,16 @@ func tab78Target(seed int64) (*tokenizer.Tokenizer, *model.LM, *workload.TaskGen
 	return b.tk, b.target, b.gen
 }
 
+// harvestCorpus harvests the corpus Tables 7 and 8 train on. Table 7
+// trains Eagle-3 on it too, so it carries Eagle-3's hidden layers.
 func harvestCorpus(target *model.LM, gen *workload.TaskGen, eos int, prompts int, seed int64) []*draft.Example {
+	layers := draft.Eagle3Config(target.Config().Vocab, target.Arch()).FusedHiddens
 	rng := rand.New(rand.NewSource(seed))
 	var out []*draft.Example
 	for _, task := range gen.Sample(prompts) {
 		seq := model.Generate(target, task.Prompt, nil, 0.9, 64, eos, rng)
 		out = append(out, draft.HarvestExamples(target,
-			model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, true)...)
+			model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, layers, true)...)
 	}
 	return out
 }

@@ -47,7 +47,7 @@ func newBench(arch gpu.Arch, seed int64, quick bool) *bench {
 	for _, task := range gen.Sample(prompts) {
 		seq := model.Generate(target, task.Prompt, nil, 0.9, 64, tk.Eos(), rng)
 		corpus = append(corpus, draft.HarvestExamples(target,
-			model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, true)...)
+			model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, e.FusedHiddens(), true)...)
 	}
 	for ep := 0; ep < epochs; ep++ {
 		e.Train(corpus, nil, rng)
@@ -94,7 +94,7 @@ func (b *bench) freshExamples(n int, seed int64) []*draft.Example {
 	for _, task := range b.gen.SampleSeeded(n, seed) {
 		seq := model.Generate(b.target, task.Prompt, nil, 0.9, 64, b.tk.Eos(), rng)
 		out = append(out, draft.HarvestExamples(b.target,
-			model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, true)...)
+			model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, b.eagle.FusedHiddens(), true)...)
 	}
 	return out
 }

@@ -1,11 +1,14 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"fastrl/internal/gpu"
+	"fastrl/internal/model"
 	"fastrl/internal/prefixcache"
 	"fastrl/internal/workload"
 )
@@ -141,7 +144,9 @@ func TestCachePrefillCheaper(t *testing.T) {
 }
 
 // TestCacheHiddenAtPromptBoundary verifies insert-back attaches the
-// target's hidden sketch at the prompt boundary node.
+// target's state at the prompt boundary node: sketch 0 and the top
+// tokens of the prompt, bit for bit. The cache charges these bytes
+// against its budget, so storing less would move its evictions.
 func TestCacheHiddenAtPromptBoundary(t *testing.T) {
 	env := newEnv(t)
 	cache := prefixcache.New(prefixcache.Config{})
@@ -149,13 +154,22 @@ func TestCacheHiddenAtPromptBoundary(t *testing.T) {
 	reqs := poolRequests(env, 3, 12)
 	eng.Run(reqs, rand.New(rand.NewSource(3)), 0)
 
+	sketch := make([]float32, model.HiddenDim)
+	probs := make([]float32, env.tk.VocabSize())
 	for _, r := range reqs {
 		n, m := cache.Lookup(r.Prompt)
 		if n == nil || m != len(r.Prompt) {
 			t.Fatalf("prompt not cached: matched %d of %d", m, len(r.Prompt))
 		}
-		if h := n.Hidden(); h == nil || len(h.Sketch) == 0 {
+		env.target.HiddenProbsScratch(model.Context{Tokens: r.Prompt, PromptLen: len(r.Prompt)}, sketch, probs, model.NewScratch())
+		top := model.TopK(probs, model.NumRankTokens)
+		h := n.Hidden()
+		if h == nil {
 			t.Fatal("no hidden state at prompt boundary")
+		}
+		if !slices.EqualFunc(h.Sketch, sketch, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) ||
+			!slices.Equal(h.TopTokens, top) {
+			t.Fatalf("boundary state = sketch %v top %v, want sketch %v top %v", h.Sketch, h.TopTokens, sketch, top)
 		}
 		n.Release()
 	}

@@ -918,10 +918,9 @@ func (b *Batch) cacheInsertBack(r *Request) {
 	// value — skip the pass and only harvest continuations.
 	hid := (*model.HiddenState)(nil)
 	if !r.hidCached {
-		model.FusedHiddenInto(b.target,
+		hid = model.BoundaryHiddenInto(b.target,
 			model.Context{Tokens: r.Prompt, PromptLen: len(r.Prompt)},
-			1, &b.cacheHid, b.cacheScratch)
-		hid = &b.cacheHid
+			&b.cacheHid, b.cacheScratch)
 	}
 	b.cfg.Cache.Insert(r.Tokens, len(r.Prompt), hid)
 }

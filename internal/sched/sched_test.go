@@ -36,7 +36,7 @@ func newEnv(t testing.TB) *testEnv {
 	var examples []*draft.Example
 	for _, task := range gen.Sample(60) {
 		seq := model.Generate(target, task.Prompt, nil, 1, 50, tk.Eos(), rng)
-		examples = append(examples, draft.HarvestExamples(target, model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, true)...)
+		examples = append(examples, draft.HarvestExamples(target, model.Context{Tokens: seq, PromptLen: len(task.Prompt)}, e.FusedHiddens(), true)...)
 	}
 	for i := 0; i < 3; i++ {
 		e.Train(examples, nil, rng)

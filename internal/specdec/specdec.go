@@ -42,7 +42,10 @@
 // randomness. Verification in turn never touches drafter state. Drafting
 // sequence i+1 after verifying sequence i therefore drafts the same tree
 // a separate Step would, and rngs[i] is drawn from in exactly the order
-// per-request Step calls draw. Any future drafter must preserve this.
+// per-request Step calls draw. Any future drafter must preserve this, and
+// its FusedHiddens must count every hidden layer Probs reads: the drafting
+// root computes only those (model.FusedHiddenInto), so a layer read but
+// not counted is missing from the state Probs gets.
 package specdec
 
 import (
@@ -300,10 +303,15 @@ func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, tokens []int, promptLen
 	sc := e.sc
 	vocab := e.Target.Config().Vocab
 	rootCtx := model.Context{Tokens: tokens, PromptLen: promptLen}
-	// Two fused sketches cover both Eagle (1) and Eagle-3 (2) inputs.
-	hidden := model.FusedHiddenInto(e.Target, rootCtx, 2, &sc.hidden, sc.msc)
-	sc.deep.Sketch = hidden.Sketch
-	sc.deep.TopTokens = nil
+	// Only the layers the drafter reads: none for model-free drafters,
+	// the root's top tokens for Eagle, and fused sketches for Eagle-3.
+	hidden := model.FusedHiddenInto(e.Target, rootCtx, d.FusedHiddens(), &sc.hidden, sc.msc)
+	deep := hidden
+	if hidden != nil {
+		sc.deep.Sketch = hidden.Sketch
+		sc.deep.TopTokens = nil
+		deep = &sc.deep
+	}
 	sc.qBuf = ensureF32(sc.qBuf, vocab)
 
 	// The sequence grows a few tokens every round, so exact-fit growth
@@ -329,7 +337,7 @@ func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, tokens []int, promptLen
 			// hidden state does not describe deeper positions).
 			h := hidden
 			if pi >= 0 {
-				h = &sc.deep
+				h = deep
 			}
 			d.Probs(ctx, promptLen, h, e.draftTemp(), sc.qBuf, sc.msc)
 			e.applyBiasToDraft(sc.qBuf, bias)

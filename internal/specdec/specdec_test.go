@@ -34,7 +34,7 @@ func newSetup(t testing.TB) (*model.LM, *draft.Eagle, *tokenizer.Tokenizer) {
 	for i := 0; i < nWarmPrompts; i++ {
 		prompt := testPrompt(tk, rng)
 		seq := model.Generate(lm, prompt, nil, 1, 60, tk.Eos(), rng)
-		examples = append(examples, draft.HarvestExamples(lm, model.Context{Tokens: seq, PromptLen: len(prompt)}, true)...)
+		examples = append(examples, draft.HarvestExamples(lm, model.Context{Tokens: seq, PromptLen: len(prompt)}, e.FusedHiddens(), true)...)
 	}
 	for epoch := 0; epoch < nWarmEpochs; epoch++ {
 		e.Train(examples, nil, rng)
@@ -328,8 +328,9 @@ type pathDrafter struct {
 
 func (d *pathDrafter) tokenAt(pos int) int { return pos % d.vocab }
 
-func (d *pathDrafter) Name() string   { return "path" }
-func (d *pathDrafter) Arch() gpu.Arch { return gpu.Arch{} }
+func (d *pathDrafter) Name() string      { return "path" }
+func (d *pathDrafter) Arch() gpu.Arch    { return gpu.Arch{} }
+func (d *pathDrafter) FusedHiddens() int { return 0 }
 
 func (d *pathDrafter) Probs(tokens []int, _ int, _ *model.HiddenState, _ float64, dst []float32, _ *model.Scratch) {
 	d.ctxs = append(d.ctxs, append([]int(nil), tokens...))

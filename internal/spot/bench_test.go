@@ -35,6 +35,24 @@ func BenchmarkSampleBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkRunWindow times one spot-training window of a few batches over
+// the previous step's sequences, as the RL step's spot goroutine runs it.
+// Every op starts from the same rng seed; the drafter keeps training
+// across ops, which leaves the work per batch unchanged.
+func BenchmarkRunWindow(b *testing.B) {
+	tr, target, tk := newSpotSetup(b)
+	fillBuffer(b, tr, target, tk, 60, 5)
+	tr.Buffer.StepEnd()
+	budget := 3 * tr.Device.TrainStepCost(tr.Drafter.Arch(), packCapacity*rowsPerBatch)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng.Seed(1)
+		tr.RunWindow(budget, rng)
+	}
+}
+
 func BenchmarkCheckpointSave(b *testing.B) {
 	dir := b.TempDir()
 	tr, _, _ := newSpotSetup(b)

@@ -306,7 +306,7 @@ func fillBuffer(t testing.TB, tr *Trainer, target *model.LM, tk *tokenizer.Token
 	for i := 0; i < n; i++ {
 		prompt := []int{tk.Bos(), tk.Digit(rng.Intn(10)), tk.MustID("+"), tk.Digit(rng.Intn(10)), tk.MustID("=")}
 		seq := model.Generate(target, prompt, nil, 1, 50, tk.Eos(), rng)
-		exs := draft.HarvestExamples(target, model.Context{Tokens: seq, PromptLen: len(prompt)}, true)
+		exs := draft.HarvestExamples(target, model.Context{Tokens: seq, PromptLen: len(prompt)}, tr.Drafter.FusedHiddens(), true)
 		tr.Buffer.Add(Sequence{Examples: exs})
 	}
 }
@@ -367,7 +367,7 @@ func TestRunWindowImprovesDrafter(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		prompt := []int{tk.Bos(), tk.Digit(evalRng.Intn(10)), tk.MustID("+"), tk.Digit(evalRng.Intn(10)), tk.MustID("=")}
 		seq := model.Generate(target, prompt, nil, 1, 50, tk.Eos(), evalRng)
-		test = append(test, draft.HarvestExamples(target, model.Context{Tokens: seq, PromptLen: len(prompt)}, true)...)
+		test = append(test, draft.HarvestExamples(target, model.Context{Tokens: seq, PromptLen: len(prompt)}, tr.Drafter.FusedHiddens(), true)...)
 	}
 	before := tr.Drafter.TopKAccuracy(test, 3)
 	tr.RunWindow(time.Second, rng)

@@ -57,15 +57,19 @@ func NewTrainer(dev *gpu.Device, drafter *draft.Eagle, target *model.LM, buffer 
 // inside it (plus at most one in-flight batch).
 func (t *Trainer) RunWindow(budget time.Duration, rng *rand.Rand) WindowStats {
 	var stats WindowStats
+	// One lens and one examples buffer serve every batch of the window:
+	// Train does not retain the slice, and a batch holds about a token
+	// budget's worth of examples.
+	var lens []int
+	examples := make([]*draft.Example, 0, packCapacity*rowsPerBatch)
 	for stats.Used < budget {
 		batch := t.Buffer.SampleBatch(packCapacity*rowsPerBatch, rng)
 		if len(batch) == 0 {
 			break
 		}
-		lens := make([]int, len(batch))
-		var examples []*draft.Example
-		for i, s := range batch {
-			lens[i] = s.Len()
+		lens, examples = lens[:0], examples[:0]
+		for _, s := range batch {
+			lens = append(lens, s.Len())
 			examples = append(examples, s.Examples...)
 		}
 
