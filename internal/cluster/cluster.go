@@ -335,8 +335,8 @@ const hotPrefixLimit = 64
 
 // warmHandoff seeds a revived shard's just-cleared prefix cache from the
 // survivors: every other shard's hotPrefixLimit hottest prefixes are
-// exported (tokens plus boundary hidden state) and imported, so the
-// revived shard skips prefill on the first templated request it serves.
+// exported (tokens plus prompt boundary) and imported, so the revived
+// shard skips prefill on the first templated request it serves.
 // Import is an LRU insert, so the copies go in coldest first: when they
 // overflow the cache's budget, eviction drops the coldest and the
 // hottest stay resident.
@@ -669,8 +669,8 @@ type Stats struct {
 	P95      time.Duration
 	// TTFTP50/TTFTP95 are per-request time-to-first-token percentiles;
 	// ITLP50/ITLP95 are percentiles over per-request mean inter-token
-	// latencies (per-chunk ITL distributions live in each shard's own
-	// serving.Stats).
+	// latencies (per-chunk ITL samples feed only each shard's SLO
+	// engine).
 	TTFTP50 time.Duration
 	TTFTP95 time.Duration
 	ITLP50  time.Duration

@@ -312,8 +312,9 @@ func TestWarmRecovery(t *testing.T) {
 func TestReviveKeepsHottestPrefix(t *testing.T) {
 	target, e, tk, _ := clusterSetup(t)
 	cfg := clusterConfig(tk, 2, 1)
-	// 16-token single-node prefixes cost 240 modelled bytes each, so shard
-	// 0's revived cache holds about 10 of the 41 its survivor offers.
+	// 16-token single-node prompts cost 448 modelled bytes each (240 for
+	// the node, 208 for its prompt boundary), so shard 0's revived cache
+	// holds about 5 of the 41 its survivor offers.
 	cfg.Caches = []*prefixcache.Cache{
 		prefixcache.New(prefixcache.Config{BudgetBytes: 2400}),
 		prefixcache.New(prefixcache.Config{}),
@@ -337,13 +338,13 @@ func TestReviveKeepsHottestPrefix(t *testing.T) {
 	}
 	src := cfg.Caches[1]
 	hot := prefix(1000)
-	src.Insert(hot, len(hot), nil)
+	src.Insert(hot, len(hot))
 	for i := 0; i < 50; i++ {
 		lookup(src, hot)
 	}
 	for i := 0; i < 40; i++ {
 		cold := prefix(2000 + 100*i)
-		src.Insert(cold, len(cold), nil)
+		src.Insert(cold, len(cold))
 		lookup(src, cold)
 	}
 

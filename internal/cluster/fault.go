@@ -213,8 +213,8 @@ func (c *Cluster) ReviveShard(id int, now time.Duration) error {
 
 	if sh.cache != nil {
 		// Wipe state from before the crash, then re-warm from the
-		// survivors' hottest prefixes (hidden states included): the revived
-		// shard starts with a working set instead of a cold cache.
+		// survivors' hottest prefixes (prompt boundaries included): the
+		// revived shard starts with a working set instead of a cold cache.
 		sh.cache.Clear()
 		c.warmHandoff(sh)
 	}

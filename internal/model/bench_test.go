@@ -43,16 +43,6 @@ func BenchmarkProbsWithBias(b *testing.B) {
 	}
 }
 
-func BenchmarkHiddenSketch(b *testing.B) {
-	lm, _, ctx := benchLM(b)
-	dst := make([]float32, HiddenDim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lm.Hidden(Context{Tokens: ctx, PromptLen: 5}, dst)
-	}
-}
-
 func BenchmarkPolicyGradientStep(b *testing.B) {
 	lm, tk, _ := benchLM(b)
 	rng := rand.New(rand.NewSource(1))

@@ -14,8 +14,7 @@ const NumRankTokens = 4
 // A drafter reads a number of hidden layers (draft.Drafter's
 // FusedHiddens): layer 0 is the root distribution, which reaches Eagle,
 // HASS and Eagle-3 through TopTokens; layer s ≥ 1 is sketch s, whose signs
-// only Eagle-3 reads. No drafter reads sketch 0; only the prefix cache
-// stores it (BoundaryHiddenInto).
+// only Eagle-3 reads. No drafter reads sketch 0, and nothing stores it.
 type HiddenState struct {
 	// Sketch is zero or more concatenated HiddenDim-sized projections
 	// (sketch s covers the context with its last s tokens removed,
@@ -48,13 +47,6 @@ func Sketches(layers int) int {
 		return 0
 	}
 	return layers
-}
-
-// BoundaryHiddenInto computes the state the prefix cache stores at a
-// prompt boundary: sketch 0 and the top tokens. The cache charges these
-// bytes against its budget, so they fix its evictions.
-func BoundaryHiddenInto(m *LM, ctx Context, h *HiddenState, sc *Scratch) *HiddenState {
-	return sketchesInto(m, ctx, 1, h, sc)
 }
 
 // sketchesInto computes ctx's top tokens and the given number of sketches

@@ -216,15 +216,6 @@ func (m *LM) Probs(ctx Context, bias map[int]float32, temp float64, dst []float3
 	scratchPool.Put(sc)
 }
 
-// Hidden computes the hidden-state sketch for a context: a fixed random
-// projection of the (pre-softmax) logits squashed through tanh. Drafters
-// consume this the way Eagle consumes target hidden states.
-func (m *LM) Hidden(ctx Context, dst []float32) {
-	sc := scratchPool.Get().(*Scratch)
-	m.HiddenScratch(ctx, dst, sc)
-	scratchPool.Put(sc)
-}
-
 // PolicyGradientStep applies one REINFORCE-style update for a single
 // response: for every generated position, the gradient of log p(token)
 // scaled by the advantage, with an optional per-token KL penalty toward

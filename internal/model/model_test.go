@@ -237,8 +237,9 @@ func TestHiddenSketchVariesWithContext(t *testing.T) {
 	lm, tk := testLM(t)
 	h1 := make([]float32, HiddenDim)
 	h2 := make([]float32, HiddenDim)
-	lm.Hidden(Context{Tokens: []int{tk.Bos(), tk.Digit(1)}, PromptLen: 1}, h1)
-	lm.Hidden(Context{Tokens: []int{tk.Bos(), tk.MustID("sum")}, PromptLen: 1}, h2)
+	sc := NewScratch()
+	lm.HiddenScratch(Context{Tokens: []int{tk.Bos(), tk.Digit(1)}, PromptLen: 1}, h1, sc)
+	lm.HiddenScratch(Context{Tokens: []int{tk.Bos(), tk.MustID("sum")}, PromptLen: 1}, h2, sc)
 	same := true
 	for i := range h1 {
 		if h1[i] != h2[i] {

@@ -54,9 +54,9 @@ func (s *Scratch) sortedBiasIDs(bias map[int]float32) []int {
 	return ids
 }
 
-// scratchPool backs the scratch-free convenience wrappers (Probs, Hidden)
-// so concurrent callers without an engine-owned scratch stay
-// allocation-free in steady state.
+// scratchPool backs the scratch-free convenience wrapper Probs and the
+// batched scorers called with a nil scratch, so concurrent callers without
+// an engine-owned scratch stay allocation-free in steady state.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // scoreInto computes one next-token distribution: hashed features with the
@@ -200,8 +200,10 @@ func samePrompt(a, b []int) bool {
 	return true
 }
 
-// HiddenScratch computes the hidden-state sketch like Hidden with
-// caller-owned scratch, allocation-free.
+// HiddenScratch computes the hidden-state sketch for a context: a fixed
+// random projection of the (pre-softmax) logits squashed through tanh,
+// which drafters consume the way Eagle consumes target hidden states. It
+// uses caller-owned scratch and is allocation-free.
 func (m *LM) HiddenScratch(ctx Context, dst []float32, sc *Scratch) {
 	m.sketchLogits(ctx, dst, sc)
 }

@@ -17,7 +17,7 @@ func allocSetup() (*Cache, [][]int) {
 	var queries [][]int
 	for i := 0; i < 32; i++ {
 		s := append(append([]int(nil), prefix...), rng.Intn(50), rng.Intn(50), rng.Intn(50))
-		c.Insert(s, len(prefix), nil)
+		c.Insert(s, len(prefix))
 		queries = append(queries, s)
 	}
 	// Misses and partial matches.
@@ -81,6 +81,6 @@ func BenchmarkInsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Insert(seqs[i%len(seqs)], 8, nil)
+		c.Insert(seqs[i%len(seqs)], 8)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"fastrl/internal/model"
 )
 
 // TestConcurrentSharedCache hammers one cache from several goroutines —
@@ -25,29 +23,24 @@ func TestConcurrentSharedCache(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			hid := &model.HiddenState{Sketch: []float32{1, 2, 3, 4}, TopTokens: []int{1, 2}}
 			for i := 0; i < 400; i++ {
 				p := prefixes[rng.Intn(len(prefixes))]
 				s := append(append([]int(nil), p...), rng.Intn(30), rng.Intn(30), rng.Intn(30))
 				switch i % 3 {
 				case 0:
-					// Attach hidden state on half the inserts so the
-					// attachHidden swap races against the readers below.
+					// Mark a prompt boundary on half the inserts, so
+					// marking and its charge race against the readers
+					// below.
 					if i%2 == 0 {
-						c.Insert(s, len(p), hid)
+						c.Insert(s, len(p))
 					} else {
-						c.Insert(s, len(p), nil)
+						c.Insert(s, 0)
 					}
 				case 1:
 					n, m := c.Lookup(s)
 					if n != nil {
 						if m != n.Depth() {
 							t.Errorf("matched %d != depth %d", m, n.Depth())
-						}
-						// Read the hidden state lock-free, as the rollout
-						// prefill path does.
-						if h := n.Hidden(); h != nil && len(h.Sketch) == 0 {
-							t.Error("torn hidden state")
 						}
 						n.Release()
 					}
@@ -62,7 +55,7 @@ func TestConcurrentSharedCache(t *testing.T) {
 	// One quiescent insert runs a final eviction pass (a concurrent
 	// lookup may have pinned nodes during the last in-flight insert's
 	// eviction); with nothing retained the budget must then hold.
-	c.Insert([]int{99, 98, 97}, 0, nil)
+	c.Insert([]int{99, 98, 97}, 0)
 	if st := c.Stats(); st.ResidentBytes > st.BudgetBytes {
 		t.Fatalf("resident %d over budget %d after drain", st.ResidentBytes, st.BudgetBytes)
 	}

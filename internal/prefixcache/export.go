@@ -1,15 +1,11 @@
 // Cross-cache surface of the prefix cache: ranked hot-prefix stats and
-// self-contained prefix export/import (tokens + boundary hidden state),
-// which the cluster's warm handoff uses to re-warm a revived shard from
-// the survivors. None of this touches the Lookup/MatchLen hot paths;
+// self-contained prefix export/import (tokens + prompt boundary), which
+// the cluster's warm handoff uses to re-warm a revived shard from the
+// survivors. None of this touches the Lookup/MatchLen hot paths;
 // everything here may allocate.
 package prefixcache
 
-import (
-	"sort"
-
-	"fastrl/internal/model"
-)
+import "sort"
 
 // PrefixStat is one ranked entry from HotPrefixStats: a full token prefix
 // resident in the cache and how many Lookup walks terminated on it.
@@ -51,14 +47,11 @@ func (c *Cache) HotPrefixStats(k int) []PrefixStat {
 }
 
 // ExportedPrefix is a self-contained copy of one cached prefix, fit to
-// ship across shards: the full token path and the hidden state at the
-// deepest prompt boundary on it (nil when none is resident). Hidden is
-// the cache's immutable state value — Import copies it into the
-// destination, so the export can be shared.
+// ship across shards: the full token path and PromptLen, the depth of the
+// deepest prompt boundary on it (0 when no node on the path is marked).
 type ExportedPrefix struct {
 	Tokens    []int
-	Hidden    *model.HiddenState
-	HiddenLen int
+	PromptLen int
 }
 
 // Export snapshots the prefix at tokens for copying into another cache.
@@ -74,25 +67,21 @@ func (c *Cache) Export(tokens []int) (ExportedPrefix, bool) {
 	if n == nil || n.depth != len(tokens) {
 		return ExportedPrefix{}, false
 	}
-	ex := ExportedPrefix{
-		Tokens:    append([]int(nil), tokens...),
-		HiddenLen: len(tokens),
-	}
-	for b := n; b != nil && b.parent != nil; b = b.parent {
-		if h := b.hidden.Load(); h != nil {
-			ex.Hidden = h
-			ex.HiddenLen = b.depth
+	ex := ExportedPrefix{Tokens: append([]int(nil), tokens...)}
+	for b := n; b.parent != nil; b = b.parent {
+		if b.prompt {
+			ex.PromptLen = b.depth
 			break
 		}
 	}
 	return ex, true
 }
 
-// Import installs an exported prefix: the path is created, a node
-// boundary is forced at HiddenLen, and the hidden state (if any) is
-// attached there — exactly an Insert of the copied sequence, so all
-// budget/eviction/continuation accounting applies unchanged. Hit counts
-// do not transfer; they are per-shard access statistics.
+// Import installs an exported prefix: the path is created and the node at
+// PromptLen (if any) is marked as a prompt boundary — exactly an Insert of
+// the copied sequence, so all budget/eviction/continuation accounting
+// applies unchanged. Hit counts do not transfer; they are per-shard access
+// statistics.
 func (c *Cache) Import(p ExportedPrefix) *Node {
-	return c.Insert(p.Tokens, p.HiddenLen, p.Hidden)
+	return c.Insert(p.Tokens, p.PromptLen)
 }

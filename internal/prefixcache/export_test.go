@@ -3,21 +3,19 @@ package prefixcache
 import (
 	"reflect"
 	"testing"
-
-	"fastrl/internal/model"
 )
 
 // TestHotPrefixesDeterministicTieBreak pins the hot-prefix ordering
-// contract: HotPrefixes ranks by Lookup hit count descending with
+// contract: HotPrefixStats ranks by Lookup hit count descending with
 // node-creation order breaking ties — never MRU recency, never map
 // order — so two caches fed the same operation sequence return the same
 // list and a warm handoff built on it is seed-reproducible.
 func TestHotPrefixesDeterministicTieBreak(t *testing.T) {
 	build := func() *Cache {
 		c := New(Config{})
-		c.Insert([]int{1, 1, 1}, 3, nil)
-		c.Insert([]int{2, 2, 2}, 3, nil)
-		c.Insert([]int{3, 3, 3}, 3, nil)
+		c.Insert([]int{1, 1, 1}, 3)
+		c.Insert([]int{2, 2, 2}, 3)
+		c.Insert([]int{3, 3, 3}, 3)
 		for _, p := range [][]int{{2, 2, 2}, {2, 2, 2}, {3, 3, 3}, {1, 1, 1}} {
 			n, _ := c.Lookup(p)
 			n.Release()
@@ -25,18 +23,18 @@ func TestHotPrefixesDeterministicTieBreak(t *testing.T) {
 		return c
 	}
 	c := build()
-	got := c.HotPrefixes(3)
+	got := hotTokens(c, 3)
 	// Hits: {2,2,2}=2, {1,1,1}=1, {3,3,3}=1. The 1-hit tie breaks by
 	// creation order ({1,1,1} was inserted first), NOT by recency (the
 	// {3,3,3} lookup is more recent) — the regression the old MRU
 	// ordering would fail.
 	want := [][]int{{2, 2, 2}, {1, 1, 1}, {3, 3, 3}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("HotPrefixes = %v, want %v", got, want)
+		t.Fatalf("HotPrefixStats tokens = %v, want %v", got, want)
 	}
 	for run := 0; run < 3; run++ {
-		if again := build().HotPrefixes(3); !reflect.DeepEqual(again, got) {
-			t.Fatalf("run %d: HotPrefixes not reproducible: %v vs %v", run, again, got)
+		if again := hotTokens(build(), 3); !reflect.DeepEqual(again, got) {
+			t.Fatalf("run %d: HotPrefixStats not reproducible: %v vs %v", run, again, got)
 		}
 	}
 	stats := c.HotPrefixStats(3)
@@ -45,14 +43,13 @@ func TestHotPrefixesDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-// TestExportImport round-trips a cached prefix — tokens, prompt-boundary
-// hidden state, boundary position — into a fresh cache, the mechanism
-// the warm handoff is built on.
+// TestExportImport round-trips a cached prefix — tokens and prompt
+// boundary — into a fresh cache, the mechanism the warm handoff is built
+// on.
 func TestExportImport(t *testing.T) {
 	src := New(Config{})
-	hid := &model.HiddenState{Sketch: []float32{1, 2, 3}, TopTokens: []int{7, 8}}
 	seq := []int{1, 2, 3, 4, 5} // prompt [1 2 3], response [4 5]
-	src.Insert(seq, 3, hid)
+	src.Insert(seq, 3)
 
 	if _, ok := src.Export([]int{9, 9}); ok {
 		t.Fatal("Export of a non-resident prefix succeeded")
@@ -64,8 +61,8 @@ func TestExportImport(t *testing.T) {
 	if !ok {
 		t.Fatal("Export of a resident prefix failed")
 	}
-	if ex.HiddenLen != 3 || ex.Hidden == nil {
-		t.Fatalf("export boundary = %d (hidden %v), want 3 with state", ex.HiddenLen, ex.Hidden)
+	if ex.PromptLen != 3 || !reflect.DeepEqual(ex.Tokens, seq) {
+		t.Fatalf("export = %+v, want tokens %v with PromptLen 3", ex, seq)
 	}
 
 	dst := New(Config{})
@@ -75,15 +72,12 @@ func TestExportImport(t *testing.T) {
 	}
 	n, matched := dst.Lookup([]int{1, 2, 3})
 	defer n.Release()
-	if matched != 3 || n.Hidden() == nil {
-		t.Fatalf("boundary after import: matched=%d hidden=%v", matched, n.Hidden())
+	if matched != 3 || !n.prompt {
+		t.Fatalf("boundary after import: matched=%d marked=%v, want 3 and marked", matched, n.prompt)
 	}
-	if got := n.Hidden().Sketch; !reflect.DeepEqual(got, hid.Sketch) {
-		t.Fatalf("hidden sketch = %v, want %v", got, hid.Sketch)
-	}
-	// The import copied the state: mutating the destination's copy must
-	// not reach the source (and vice versa).
-	if n.Hidden() == hid || n.Hidden() == ex.Hidden {
-		t.Fatal("import shares hidden storage with the exporter")
+	// The copy costs what the original does: same nodes, same boundary
+	// charge.
+	if got, want := dst.ResidentBytes(), src.ResidentBytes(); got != want {
+		t.Fatalf("imported prefix resident %d bytes, source %d", got, want)
 	}
 }

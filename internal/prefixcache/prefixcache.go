@@ -3,8 +3,9 @@
 // cache. Templated workloads send thousands of requests that open with the
 // same system/few-shot prefix; every one of them pays full prefill even
 // though the target state over the shared prefix is identical. The cache
-// stores, per trie node, the target's hidden sketch at the prefix boundary
-// (standing in for the resident KV pages of that prefix) plus harvested
+// marks, per trie node, whether a prompt ended on it (the byte budget
+// charges each marked boundary for the target state resident there,
+// standing in for the KV pages of that prefix) and keeps harvested
 // continuation statistics, so:
 //
 //   - the rollout engine can skip recomputing prefill positions covered by
@@ -28,18 +29,21 @@ import (
 	"sync/atomic"
 
 	"fastrl/internal/metrics"
-	"fastrl/internal/model"
 )
 
 // Approximate per-object resident-byte costs used by the eviction budget.
 // They only need to be stable and roughly proportional to real memory so
 // the budget is meaningful; exact malloc accounting is not the point.
 const (
-	nodeOverheadBytes   = 96 // struct, LRU links, map headers
-	tokenBytes          = 8  // one label token
-	childEntryBytes     = 16 // one children map entry
-	contEntryBytes      = 16 // one continuation-count map entry
-	hiddenOverheadBytes = 48 // HiddenState struct + slice headers
+	nodeOverheadBytes = 96 // struct, LRU links, map headers
+	tokenBytes        = 8  // one label token
+	childEntryBytes   = 16 // one children map entry
+	contEntryBytes    = 16 // one continuation-count map entry
+	// promptStateBytes models the target state resident at a prompt
+	// boundary. It equals what the cache once stored there, a
+	// model.HiddenState of sketch 0 and the top tokens (a 48-byte header,
+	// 32 float32s and 4 tokens), so the budget evicts the same nodes.
+	promptStateBytes = 208
 )
 
 // DefaultBudgetBytes is the default eviction budget (1 MiB of modelled
@@ -77,12 +81,12 @@ type Cache struct {
 	nodes     int
 
 	// nodeSeq numbers nodes in creation order; together with per-node hit
-	// counts it gives HotPrefixes a deterministic total order.
+	// counts it gives HotPrefixStats a deterministic total order.
 	nodeSeq uint64
 }
 
 // Node is one radix-tree node: the compressed token run from its parent,
-// optional cached hidden state at the prefix boundary it ends on, and
+// whether a prompt ended on the prefix boundary it ends on, and
 // continuation counts harvested from inserted sequences.
 type Node struct {
 	parent *Node
@@ -97,13 +101,10 @@ type Node struct {
 	// Guarded by the cache lock for the 0→1 transition (Lookup); Release
 	// is lock-free.
 	refs atomic.Int32
-	// hidden is the target hidden sketch at this prefix boundary (nil
-	// until a completed request attaches one). It is an atomic pointer to
-	// an immutable value: callers read Hidden() on nodes returned by
-	// Lookup after the cache lock is released, concurrently with another
-	// replica's Insert attaching a fresh state — attachHidden therefore
-	// swaps in a new copy instead of mutating in place.
-	hidden atomic.Pointer[model.HiddenState]
+	// prompt marks that an inserted sequence's prompt ended at this
+	// boundary, which the budget charges promptStateBytes for. Guarded by
+	// the cache lock.
+	prompt bool
 	// cont counts observed continuations: token that followed this prefix
 	// -> occurrences.
 	cont map[int]uint32
@@ -131,12 +132,6 @@ func New(cfg Config) *Cache {
 
 // Depth returns the prefix length this node represents.
 func (n *Node) Depth() int { return n.depth }
-
-// Hidden returns the cached hidden state at this prefix boundary, or nil.
-// The returned state is immutable — a later Insert swaps in a new value
-// rather than mutating it — so it stays valid (and race-free) after the
-// call. Callers must not modify it.
-func (n *Node) Hidden() *model.HiddenState { return n.hidden.Load() }
 
 // Refs returns the current reference count (diagnostics and tests).
 func (n *Node) Refs() int { return int(n.refs.Load()) }
@@ -235,12 +230,12 @@ func labelMatches(label, tokens []int) bool {
 // Insert records one completed sequence (prompt + response) into the
 // cache: the path is created (splitting compressed edges as needed),
 // continuation counts along it are incremented, node boundaries are forced
-// at promptLen and len(tokens), and hidden — if non-nil — is attached to
-// the node at the promptLen boundary (copied; the cache owns its storage).
-// It returns the node at the prompt boundary (not retained) and runs
-// eviction until the cache fits its budget. Inserting an empty sequence is
-// a no-op returning nil.
-func (c *Cache) Insert(tokens []int, promptLen int, hidden *model.HiddenState) *Node {
+// at promptLen and len(tokens), and the node at promptLen is marked as a
+// prompt boundary, charged promptStateBytes the first time. A promptLen of
+// 0 marks nothing (the root carries no state). It returns the node at the
+// prompt boundary (not retained) and runs eviction until the cache fits
+// its budget. Inserting an empty sequence is a no-op returning nil.
+func (c *Cache) Insert(tokens []int, promptLen int) *Node {
 	if len(tokens) == 0 {
 		return nil
 	}
@@ -296,8 +291,9 @@ func (c *Cache) Insert(tokens []int, promptLen int, hidden *model.HiddenState) *
 			boundary = n
 		}
 	}
-	if boundary != nil && hidden != nil {
-		c.attachHidden(boundary, hidden)
+	if boundary != nil && !boundary.prompt {
+		boundary.prompt = true
+		c.resident += promptStateBytes
 	}
 	c.evict()
 	return boundary
@@ -356,26 +352,6 @@ func (c *Cache) addCont(n *Node, tok int) {
 	n.cont[tok]++
 }
 
-// attachHidden swaps a copy of h into the node. The copy is fresh, never
-// an in-place update: a reader that loaded the previous pointer via
-// Hidden() keeps a consistent value. Byte accounting stays under c.mu
-// (all writers hold it); only the pointer swap is atomic.
-func (c *Cache) attachHidden(n *Node, h *model.HiddenState) {
-	if old := n.hidden.Load(); old != nil {
-		c.resident -= hiddenBytes(old)
-	}
-	fresh := &model.HiddenState{
-		Sketch:    append([]float32(nil), h.Sketch...),
-		TopTokens: append([]int(nil), h.TopTokens...),
-	}
-	n.hidden.Store(fresh)
-	c.resident += hiddenBytes(fresh)
-}
-
-func hiddenBytes(h *model.HiddenState) int64 {
-	return hiddenOverheadBytes + int64(cap(h.Sketch))*4 + int64(cap(h.TopTokens))*tokenBytes
-}
-
 // evict frees least-recently-used leaves until the cache fits its budget.
 // Nodes with live references or children are skipped: a retained leaf pins
 // itself, and interior nodes become evictable only once their subtrees
@@ -414,8 +390,8 @@ func (c *Cache) remove(n *Node) {
 	c.evictions.Inc()
 	c.resident -= nodeOverheadBytes + int64(len(n.label))*tokenBytes + childEntryBytes
 	c.resident -= int64(len(n.cont)) * contEntryBytes
-	if h := n.hidden.Load(); h != nil {
-		c.resident -= hiddenBytes(h)
+	if n.prompt {
+		c.resident -= promptStateBytes
 	}
 	n.parent = nil
 }
@@ -483,25 +459,6 @@ func (c *Cache) Stats() Stats {
 		ResidentBytes:  resident,
 		BudgetBytes:    c.budget,
 	}
-}
-
-// HotPrefixes returns up to k full token prefixes ranked hottest first —
-// the re-warm set a revived shard replays through Insert to come back hot
-// instead of cold. Ranking is by per-node Lookup hit count descending with
-// node-creation order breaking ties, so the order is a pure function of
-// the operation history: equal hit counts never reorder across runs, so
-// a warm handoff driven by this list is seed-reproducible. Each returned
-// slice is freshly allocated; the caller owns it.
-func (c *Cache) HotPrefixes(k int) [][]int {
-	stats := c.HotPrefixStats(k)
-	if stats == nil {
-		return nil
-	}
-	out := make([][]int, len(stats))
-	for i, s := range stats {
-		out[i] = s.Tokens
-	}
-	return out
 }
 
 // Clear drops every unpinned node (retained paths survive, like eviction),

@@ -3,11 +3,18 @@ package prefixcache
 import (
 	"reflect"
 	"testing"
-
-	"fastrl/internal/model"
 )
 
 func seq(toks ...int) []int { return toks }
+
+// hotTokens returns the token paths of HotPrefixStats(k), hottest first.
+func hotTokens(c *Cache, k int) [][]int {
+	var out [][]int
+	for _, s := range c.HotPrefixStats(k) {
+		out = append(out, s.Tokens)
+	}
+	return out
+}
 
 func TestLookupEmptyCache(t *testing.T) {
 	c := New(Config{})
@@ -27,7 +34,7 @@ func TestLookupEmptyCache(t *testing.T) {
 func TestInsertLookupRoundTrip(t *testing.T) {
 	c := New(Config{})
 	tokens := seq(5, 6, 7, 8, 9, 10)
-	c.Insert(tokens, 4, nil)
+	c.Insert(tokens, 4)
 
 	// Full-sequence lookup matches everything.
 	n, m := c.Lookup(tokens)
@@ -62,9 +69,9 @@ func TestInsertLookupRoundTrip(t *testing.T) {
 
 func TestEdgeSplitPreservesContent(t *testing.T) {
 	c := New(Config{})
-	c.Insert(seq(1, 2, 3, 4, 5), 0, nil)
+	c.Insert(seq(1, 2, 3, 4, 5), 0)
 	// Insert a sequence diverging mid-edge: forces a split at depth 3.
-	c.Insert(seq(1, 2, 3, 9, 9), 0, nil)
+	c.Insert(seq(1, 2, 3, 9, 9), 0)
 
 	for _, tc := range []struct {
 		query []int
@@ -83,8 +90,8 @@ func TestEdgeSplitPreservesContent(t *testing.T) {
 
 func TestLookupReturnsTruePrefix(t *testing.T) {
 	c := New(Config{})
-	c.Insert(seq(1, 2, 3, 4), 2, nil)
-	c.Insert(seq(1, 2, 5, 6), 2, nil)
+	c.Insert(seq(1, 2, 3, 4), 2)
+	c.Insert(seq(1, 2, 5, 6), 2)
 	query := seq(1, 2, 3, 4, 7, 8)
 	n, m := c.Lookup(query)
 	if n == nil {
@@ -97,40 +104,85 @@ func TestLookupReturnsTruePrefix(t *testing.T) {
 	}
 }
 
-func TestHiddenAttachment(t *testing.T) {
+// TestPromptBoundary pins where Insert marks a prompt: on the node that
+// ends at promptLen and nowhere else, so a prompt-only Lookup resumes
+// from the marked node, and a later split above it keeps the mark on it.
+func TestPromptBoundary(t *testing.T) {
 	c := New(Config{})
-	h := &model.HiddenState{Sketch: []float32{1, 2, 3}, TopTokens: []int{7, 8}}
-	bn := c.Insert(seq(1, 2, 3, 4, 5), 3, h)
-	if bn == nil || bn.Depth() != 3 {
-		t.Fatalf("boundary node = %v", bn)
+	bn := c.Insert(seq(1, 2, 3, 4, 5), 3)
+	if bn == nil || bn.Depth() != 3 || !bn.prompt {
+		t.Fatalf("boundary node = %+v, want a marked node at depth 3", bn)
 	}
-	// Mutating the caller's copy must not leak into the cache.
-	h.Sketch[0] = 42
-	n, m := c.Lookup(seq(1, 2, 3))
-	if m != 3 || n.Hidden() == nil {
-		t.Fatalf("prompt boundary lookup: matched %d, hidden %v", m, n.Hidden())
+	n, m := c.Lookup(seq(1, 2, 3, 4, 5))
+	if m != 5 || n.prompt {
+		t.Fatalf("full lookup: matched %d, marked %v; want 5, unmarked", m, n.prompt)
 	}
-	if n.Hidden().Sketch[0] != 1 {
-		t.Fatal("cache aliased caller-owned hidden state")
+	n.Release()
+	n, m = c.Lookup(seq(1, 2, 3))
+	if n != bn || m != 3 {
+		t.Fatalf("prompt lookup: node %p matched %d, want the boundary %p at 3", n, m, bn)
 	}
 	n.Release()
 
-	// Re-attaching reuses node storage and replaces the state.
-	c.Insert(seq(1, 2, 3, 4, 5), 3, &model.HiddenState{Sketch: []float32{9}})
-	n, _ = c.Lookup(seq(1, 2, 3))
-	if got := n.Hidden().Sketch; len(got) != 1 || got[0] != 9 {
-		t.Fatalf("re-attached hidden = %v", got)
+	// A sequence diverging at depth 2 splits the boundary's edge; the
+	// boundary keeps its identity, depth and mark, and the new mid node
+	// stays unmarked.
+	if c.Insert(seq(1, 2, 9), 0) != nil {
+		t.Fatal("promptLen 0 returned a boundary node")
 	}
-	n.Release()
+	if !bn.prompt || bn.Depth() != 3 || bn.parent.Depth() != 2 || bn.parent.prompt {
+		t.Fatalf("after split: boundary marked %v at %d, parent marked %v at %d",
+			bn.prompt, bn.Depth(), bn.parent.prompt, bn.parent.Depth())
+	}
+	if got := c.MatchLen(seq(1, 2, 3)); got != 3 {
+		t.Fatalf("prompt matches %d after split, want 3", got)
+	}
+}
+
+// TestPromptStateCharge pins what a prompt boundary costs the budget: 208
+// modelled bytes once per marked node, however often the prompt recurs,
+// refunded on eviction; a path no prompt ended on costs nothing, neither
+// where it was inserted nor in a cache that imports it.
+func TestPromptStateCharge(t *testing.T) {
+	bare := New(Config{})
+	bare.Insert(seq(1, 2, 3), 0)
+	unmarked := bare.ResidentBytes()
+
+	c := New(Config{})
+	c.Insert(seq(1, 2, 3), 3)
+	if got := c.ResidentBytes() - unmarked; got != 208 {
+		t.Fatalf("prompt boundary charged %d bytes, want 208", got)
+	}
+	c.Insert(seq(1, 2, 3), 3)
+	if got := c.ResidentBytes() - unmarked; got != 208 {
+		t.Fatalf("after a second insert of the prompt the boundary costs %d bytes, want 208 once", got)
+	}
+	c.Clear()
+	if got := c.ResidentBytes(); got != 0 {
+		t.Fatalf("evicting the boundary left %d resident bytes", got)
+	}
+
+	ex, ok := bare.Export(seq(1, 2, 3))
+	if !ok || ex.PromptLen != 0 {
+		t.Fatalf("unmarked path exported (%+v, %v), want PromptLen 0", ex, ok)
+	}
+	dst := New(Config{})
+	dst.Import(ex)
+	if got := dst.ResidentBytes(); got != unmarked {
+		t.Fatalf("importing an unmarked path charged %d bytes, want %d", got, unmarked)
+	}
+	if got := dst.MatchLen(seq(1, 2, 3)); got != 3 {
+		t.Fatalf("imported unmarked path matches %d, want 3", got)
+	}
 }
 
 func TestContinuationCountsAndWarmStart(t *testing.T) {
 	c := New(Config{})
 	// Same prompt, two completions; continuation 9 is observed twice, 8
 	// once, at the prompt boundary.
-	c.Insert(seq(1, 2, 9, 5), 2, nil)
-	c.Insert(seq(1, 2, 9, 6), 2, nil)
-	c.Insert(seq(1, 2, 8, 7), 2, nil)
+	c.Insert(seq(1, 2, 9, 5), 2)
+	c.Insert(seq(1, 2, 9, 6), 2)
+	c.Insert(seq(1, 2, 8, 7), 2)
 
 	var got [][2]int // (promptLen, continuation)
 	obs := observerFunc(func(tokens []int, promptLen int) {
@@ -170,7 +222,7 @@ func (f observerFunc) Observe(tokens []int, promptLen int) { f(tokens, promptLen
 func TestEvictionRespectsBudget(t *testing.T) {
 	c := New(Config{BudgetBytes: 2048})
 	for i := 0; i < 200; i++ {
-		c.Insert(seq(i, i+1, i+2, i+3), 2, nil)
+		c.Insert(seq(i, i+1, i+2, i+3), 2)
 	}
 	st := c.Stats()
 	if st.ResidentBytes > st.BudgetBytes {
@@ -187,14 +239,14 @@ func TestEvictionRespectsBudget(t *testing.T) {
 func TestEvictionNeverFreesRetained(t *testing.T) {
 	c := New(Config{BudgetBytes: 1024})
 	pinned := seq(1000, 1001, 1002, 1003)
-	c.Insert(pinned, len(pinned), nil)
+	c.Insert(pinned, len(pinned))
 	n, m := c.Lookup(pinned)
 	if n == nil || m != len(pinned) {
 		t.Fatalf("pinned lookup matched %d", m)
 	}
 	// Flood the cache; the pinned path must survive arbitrary eviction.
 	for i := 0; i < 500; i++ {
-		c.Insert(seq(i, i+1, i+2, i+3, i+4), 2, nil)
+		c.Insert(seq(i, i+1, i+2, i+3, i+4), 2)
 	}
 	if got := c.MatchLen(pinned); got != len(pinned) {
 		t.Fatalf("pinned prefix evicted: MatchLen = %d, want %d", got, len(pinned))
@@ -202,7 +254,7 @@ func TestEvictionNeverFreesRetained(t *testing.T) {
 	n.Release()
 	// Once released, continued pressure may reclaim it.
 	for i := 500; i < 1200; i++ {
-		c.Insert(seq(i, i+1, i+2, i+3, i+4), 2, nil)
+		c.Insert(seq(i, i+1, i+2, i+3, i+4), 2)
 	}
 	if st := c.Stats(); st.ResidentBytes > st.BudgetBytes {
 		t.Fatalf("resident %d over budget %d after release", st.ResidentBytes, st.BudgetBytes)
@@ -212,7 +264,7 @@ func TestEvictionNeverFreesRetained(t *testing.T) {
 func TestNegativeBudgetDisablesEviction(t *testing.T) {
 	c := New(Config{BudgetBytes: -1})
 	for i := 0; i < 300; i++ {
-		c.Insert(seq(i, i+1, i+2), 0, nil)
+		c.Insert(seq(i, i+1, i+2), 0)
 	}
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Fatalf("evictions %d with eviction disabled", st.Evictions)
@@ -221,7 +273,7 @@ func TestNegativeBudgetDisablesEviction(t *testing.T) {
 
 func TestReleaseUnderflowPanics(t *testing.T) {
 	c := New(Config{})
-	c.Insert(seq(1, 2), 0, nil)
+	c.Insert(seq(1, 2), 0)
 	n, _ := c.Lookup(seq(1, 2))
 	n.Release()
 	defer func() {
@@ -234,7 +286,7 @@ func TestReleaseUnderflowPanics(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	c := New(Config{})
-	c.Insert(seq(1, 2, 3, 4), 2, nil)
+	c.Insert(seq(1, 2, 3, 4), 2)
 	if n, _ := c.Lookup(seq(1, 2, 3, 4)); n != nil {
 		n.Release()
 	}
@@ -258,16 +310,16 @@ func TestHotPrefixesAndClear(t *testing.T) {
 	c := New(Config{})
 	a := []int{1, 2, 3, 4}
 	b := []int{1, 2, 9, 9}
-	c.Insert(a, 2, nil)
-	c.Insert(b, 2, nil)
+	c.Insert(a, 2)
+	c.Insert(b, 2)
 	// Touch a's path so it is most recently used.
 	n, matched := c.Lookup(a)
 	if n == nil || matched != len(a) {
 		t.Fatalf("lookup a: matched %d", matched)
 	}
-	hot := c.HotPrefixes(2)
+	hot := hotTokens(c, 2)
 	if len(hot) != 2 {
-		t.Fatalf("HotPrefixes returned %d prefixes", len(hot))
+		t.Fatalf("HotPrefixStats returned %d prefixes", len(hot))
 	}
 	// The hottest prefix must be a path of a (a itself or a shared prefix).
 	first := hot[0]
@@ -276,13 +328,13 @@ func TestHotPrefixesAndClear(t *testing.T) {
 			t.Fatalf("hottest prefix %v is not a prefix of %v", first, a)
 		}
 	}
-	if got := c.HotPrefixes(0); got != nil {
-		t.Fatalf("HotPrefixes(0) = %v", got)
+	if got := c.HotPrefixStats(0); got != nil {
+		t.Fatalf("HotPrefixStats(0) = %v", got)
 	}
 	// Replaying hot prefixes into a fresh cache re-warms it.
 	warm := New(Config{})
-	for _, p := range c.HotPrefixes(64) {
-		warm.Insert(p, len(p), nil)
+	for _, p := range hotTokens(c, 64) {
+		warm.Insert(p, len(p))
 	}
 	if warm.MatchLen(a) != len(a) || warm.MatchLen(b) != len(b) {
 		t.Fatalf("re-warmed cache misses: a=%d b=%d", warm.MatchLen(a), warm.MatchLen(b))

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"fastrl/internal/model"
 )
 
 // checkInvariants walks the whole tree and verifies structural and
@@ -50,8 +48,8 @@ func checkInvariants(t *testing.T, c *Cache, retained map[*Node][]int) {
 			nodes++
 			resident += nodeOverheadBytes + int64(len(child.label))*tokenBytes + childEntryBytes
 			resident += int64(len(child.cont)) * contEntryBytes
-			if h := child.hidden.Load(); h != nil {
-				resident += hiddenBytes(h)
+			if child.prompt {
+				resident += promptStateBytes
 			}
 			visit(child)
 		}
@@ -108,13 +106,12 @@ func TestPropertyEvictionAndLookup(t *testing.T) {
 	var handles []*Node
 	for step := 0; step < 3000; step++ {
 		switch rng.Intn(10) {
-		case 0, 1, 2, 3: // insert, sometimes with a hidden state attached
+		case 0, 1, 2, 3: // insert, sometimes without a prompt boundary
 			s, pl := mkSeq()
-			var hid *model.HiddenState
 			if rng.Intn(3) == 0 {
-				hid = &model.HiddenState{Sketch: []float32{1, 2}, TopTokens: []int{3}}
+				pl = 0
 			}
-			c.Insert(s, pl, hid)
+			c.Insert(s, pl)
 		case 4, 5, 6: // lookup, sometimes retain across future steps
 			q, _ := mkSeq()
 			n, m := c.Lookup(q)
@@ -149,7 +146,7 @@ func TestPropertyEvictionAndLookup(t *testing.T) {
 		default: // heavy insert burst to force eviction pressure
 			for k := 0; k < 5; k++ {
 				s, pl := mkSeq()
-				c.Insert(s, pl, nil)
+				c.Insert(s, pl)
 			}
 		}
 		if step%50 == 0 {
@@ -162,7 +159,7 @@ func TestPropertyEvictionAndLookup(t *testing.T) {
 	for _, n := range handles {
 		n.Release()
 	}
-	c.Insert([]int{1, 2, 3}, 0, nil) // trigger one more eviction pass
+	c.Insert([]int{1, 2, 3}, 0) // trigger one more eviction pass
 	if st := c.Stats(); st.ResidentBytes > st.BudgetBytes {
 		t.Fatalf("resident %d over budget %d with nothing retained", st.ResidentBytes, st.BudgetBytes)
 	}
@@ -182,7 +179,7 @@ func TestPropertyDeterministic(t *testing.T) {
 				s[j] = rng.Intn(25)
 			}
 			if rng.Intn(2) == 0 {
-				c.Insert(s, len(s)/2, nil)
+				c.Insert(s, len(s)/2)
 			} else {
 				n, m := c.Lookup(s)
 				matches = append(matches, m)

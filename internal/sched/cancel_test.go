@@ -80,7 +80,7 @@ func TestCancelInflightFreesSlotAndCachePins(t *testing.T) {
 	r := env.poolRequest(0, 0, 400, 55)
 	// Warm the cache with the request's own prompt so prefill matches and
 	// retains a node.
-	cache.Insert(r.Prompt, len(r.Prompt), nil)
+	cache.Insert(r.Prompt, len(r.Prompt))
 	node, matched := cache.Lookup(r.Prompt)
 	if node == nil || matched != len(r.Prompt) {
 		t.Fatal("cache warm-up did not cover the prompt")

@@ -78,10 +78,8 @@ type Request struct {
 	firstTokN    int
 	hasFirstTok  bool
 	// retained pins the request's matched prefix-cache node while it is
-	// inflight; hidCached marks a full-prompt match that already carries a
-	// hidden state, so insert-back can skip recomputing it.
-	retained  *prefixcache.Node
-	hidCached bool
+	// inflight.
+	retained *prefixcache.Node
 	// slot is the request's index in its batch's occupancy bitmaps while
 	// inflight (assigned monotonically at prefill, so slot order is
 	// admission order). Owned by the batch goroutine; meaningless while
@@ -233,5 +231,4 @@ func (r *Request) releaseRetained() {
 		r.retained.Release()
 		r.retained = nil
 	}
-	r.hidCached = false
 }

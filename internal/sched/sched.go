@@ -89,10 +89,9 @@ type Config struct {
 	// Cache, when non-nil, is a shared radix prefix cache: prefill skips
 	// positions covered by a cached prefix (their target state is already
 	// resident), matched nodes stay retained while their requests are
-	// inflight, and retired sequences are inserted back with the
-	// prompt-boundary hidden state so later requests — and warm-started
-	// drafters — reuse them. Serving replicas on one shard share a single
-	// cache.
+	// inflight, and retired sequences are inserted back with their prompt
+	// boundary marked so later requests — and warm-started drafters —
+	// reuse them. Serving replicas on one shard share a single cache.
 	Cache *prefixcache.Cache
 	// Metrics, when non-nil, receives the scheduler's cumulative counters
 	// (sched/steps, sched/response_tokens, sched/prefill_saved_tokens,
@@ -262,10 +261,6 @@ type Batch struct {
 	biasMaps    []map[int]float32
 	frontierAgg []int
 	acceptLens  []int
-
-	// Prefix-cache insert-back buffers.
-	cacheHid     model.HiddenState
-	cacheScratch *model.Scratch
 
 	// Registry counters (nil without Config.Metrics).
 	mSteps        *metrics.Counter
@@ -749,7 +744,6 @@ func (b *Batch) prefillPending() {
 	if b.cfg.Cache != nil {
 		for _, r := range b.pending {
 			n, matched := b.cfg.Cache.Lookup(r.Prompt)
-			r.hidCached = n != nil && matched == len(r.Prompt) && n.Hidden() != nil
 			if n == nil {
 				continue
 			}
@@ -903,26 +897,13 @@ func (b *Batch) collectRetired() {
 }
 
 // cacheInsertBack writes one completed sequence into the prefix cache
-// with the prompt-boundary hidden state, so a later request sharing the
-// prompt can resume from it.
+// with its prompt boundary marked, so a later request sharing the prompt
+// can resume from it.
 func (b *Batch) cacheInsertBack(r *Request) {
 	if len(r.Prompt) == 0 {
 		return
 	}
-	if b.cacheScratch == nil {
-		b.cacheScratch = model.NewScratch()
-	}
-	// The hidden sketch is a pure function of the (frozen-at-serving)
-	// target and the prompt, so when the full prompt matched a node that
-	// already carries one, recomputing it would reproduce the resident
-	// value — skip the pass and only harvest continuations.
-	hid := (*model.HiddenState)(nil)
-	if !r.hidCached {
-		hid = model.BoundaryHiddenInto(b.target,
-			model.Context{Tokens: r.Prompt, PromptLen: len(r.Prompt)},
-			&b.cacheHid, b.cacheScratch)
-	}
-	b.cfg.Cache.Insert(r.Tokens, len(r.Prompt), hid)
+	b.cfg.Cache.Insert(r.Tokens, len(r.Prompt))
 }
 
 // kvResidentLimit returns how many of the active requests fit the KV

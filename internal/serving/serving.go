@@ -3,7 +3,8 @@
 // speculative decoding against the frozen policy. Unlike the rollout
 // engine (which simulates one synchronous training worker), the server
 // runs real concurrent replica goroutines with a shared request queue and
-// reports latency percentiles — the shape of an online inference service.
+// reports each response's latency, TTFT and ITL — the shape of an online
+// inference service.
 //
 // Replicas are continuous-batching step-loop workers over the
 // iteration-level scheduler (internal/sched): each iteration a replica
@@ -111,9 +112,10 @@ type Request struct {
 type Response struct {
 	Tokens []int
 	// ReqID is the scheduler request ID the serving layer assigned (unique
-	// within one server) — the ID that exemplar-linked latency histograms
-	// and flight-recorder records carry, so a tail percentile links back to
-	// this request's spans. Zero when the request never entered a batch.
+	// within one server) — the ID that the cluster's exemplar-linked
+	// latency histograms and flight-recorder records carry, so a tail
+	// percentile links back to this request's spans. Zero when the request
+	// never entered a batch.
 	ReqID int64
 	// Latency is the modelled service latency: queueing (wall) plus the
 	// replica's virtual decode time for this request.
@@ -179,27 +181,10 @@ type Server struct {
 	stall         atomic.Int64
 	steps         atomic.Int64
 	dupSuppressed atomic.Int64
-	mu            sync.Mutex
-	// lats/ttfts/itls are the server's exemplar-linked latency histograms
-	// (fixed-shape log buckets, see metrics.Histogram): lats records one
-	// end-to-end latency per served request, ttfts one time-to-first-token
-	// per request, itls one sample per streamed chunk, fed by the replicas'
-	// event publishing. Exemplars are scheduler request IDs, so a tail
-	// bucket links straight to this shard's flight-recorder records and
-	// trace spans.
-	lats  *metrics.Histogram
-	ttfts *metrics.Histogram
-	itls  *metrics.Histogram
-	// reg is the server's unified metrics registry. Outcome counters are
-	// written in registry Update groups, so one Snapshot reads mutually
-	// consistent counts — served + cancelled + errored never exceeds
-	// submitted in any snapshot, not just at quiescence (the torn-stats
-	// fix). Lock order: registry before s.mu, never the reverse.
-	reg        *metrics.Registry
-	cSubmitted *metrics.Counter
-	cServed    *metrics.Counter
-	cCancelled *metrics.Counter
-	cErrored   *metrics.Counter
+	// reg is the shard's metrics registry: the sched/* counters its
+	// replica batches feed, the cache probes and the load gauges. Request
+	// outcomes and latencies are recorded once, by the cluster.
+	reg *metrics.Registry
 }
 
 // New builds a server. drafter may be nil (vanilla decoding).
@@ -235,24 +220,14 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Server, error) {
 		target:  target,
 		drafter: drafter,
 		queue:   make(chan *job, cfg.QueueDepth),
-		lats:    metrics.NewHistogram(),
-		ttfts:   metrics.NewHistogram(),
-		itls:    metrics.NewHistogram(),
 		reg:     metrics.NewRegistry(),
 	}
-	s.cSubmitted = s.reg.Counter("submitted")
-	s.cServed = s.reg.Counter("served")
-	s.cCancelled = s.reg.Counter("cancelled")
-	s.cErrored = s.reg.Counter("errored")
 	// Point-in-time probes: atomic loads and leaf locks only, as the
 	// registry's snapshot contract requires.
 	s.reg.Gauge("queue_len", func() float64 { return float64(s.QueueLen()) })
 	s.reg.Gauge("inflight", func() float64 { return float64(s.Inflight()) })
 	s.reg.Gauge("steps", func() float64 { return float64(s.StepCount()) })
 	s.reg.Gauge("dup_suppressed", func() float64 { return float64(s.DupSuppressed()) })
-	s.reg.HistogramFunc("latency", func() *metrics.Histogram { s.mu.Lock(); defer s.mu.Unlock(); return s.lats.Clone() })
-	s.reg.HistogramFunc("ttft", func() *metrics.Histogram { s.mu.Lock(); defer s.mu.Unlock(); return s.ttfts.Clone() })
-	s.reg.HistogramFunc("itl", func() *metrics.Histogram { s.mu.Lock(); defer s.mu.Unlock(); return s.itls.Clone() })
 	if s.cfg.Cache != nil {
 		s.cfg.Cache.RegisterMetrics(s.reg, "cache/")
 	}
@@ -265,9 +240,9 @@ func New(cfg Config, target *model.LM, drafter draft.Drafter) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the server's unified metrics registry. Snapshot it
-// for a consistent cross-counter view; Stats is a typed convenience over
-// the same snapshot.
+// Registry exposes the shard's metrics registry: the replicas' sched/*
+// counters, the cache probes and the load gauges. Snapshot it for a
+// consistent cross-counter view.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Flight returns the shard's flight recorder (nil unless configured).
@@ -294,12 +269,12 @@ func (s *Server) replica(id int) {
 	// admitted request carries its own seeded RNG.
 	rng := rand.New(rand.NewSource(0x5eed ^ int64(id)))
 	// running tracks the jobs inside this replica's batch so each step can
-	// publish their stream progress; samples batches the step's TTFT/ITL
-	// histogram records into one stats-lock acquisition.
+	// publish their stream progress; samples stages the step's TTFT/ITL
+	// observations for the SLO feed.
 	running := make([]*job, 0, s.cfg.MaxBatch)
 	samples := &stepSamples{
-		ttfts: make([]latSample, 0, s.cfg.MaxBatch),
-		itls:  make([]latSample, 0, s.cfg.MaxBatch),
+		ttfts: make([]time.Duration, 0, s.cfg.MaxBatch),
+		itls:  make([]time.Duration, 0, s.cfg.MaxBatch),
 	}
 
 	admit := func(j *job) {
@@ -385,9 +360,8 @@ func (s *Server) replica(id int) {
 		retired := batch.Retire()
 		// Publish the step's progress — retiring requests first, so their
 		// final chunk (and its TTFT/ITL bookkeeping) lands before the
-		// terminal event — then fold the step's SLO samples into the
-		// histograms before any terminal event wakes a client: a caller
-		// returning from Wait must find its samples already in Stats.
+		// terminal event — then feed the step's TTFT/ITL samples to the SLO
+		// engine before the terminal events observe their outcomes.
 		for _, r := range retired {
 			s.publishProgress(r.Tag.(*job), r, now, samples)
 		}
@@ -408,7 +382,7 @@ func (s *Server) replica(id int) {
 		for _, j := range running {
 			s.publishProgress(j, j.sr.Load(), now, samples)
 		}
-		samples.flush(s, now)
+		samples.flush(s.cfg.SLO, now)
 		for _, r := range retired {
 			j := r.Tag.(*job)
 			// Per-request accept length is exact: it is computed from the
@@ -582,15 +556,9 @@ func (s *Server) Stream(ctx context.Context, req Request) (*Stream, error) {
 		return nil, err
 	}
 	j := newJob(req)
-	// Count the submission before the queue send: a replica may dequeue
-	// and finish the job the instant it lands, and the terminal counters
-	// must never lead the submission counter in a snapshot. The rare
-	// failed send below retracts the count in an Update group.
-	s.cSubmitted.Inc()
 	select {
 	case s.queue <- j:
 	case <-ctx.Done():
-		s.reg.Update(func() { s.cSubmitted.Add(-1) })
 		return nil, ctx.Err()
 	}
 	st := &Stream{srv: s, j: j, ctx: ctx}
@@ -619,58 +587,4 @@ func (s *Server) Serve(ctx context.Context, req Request) (Response, error) {
 		return Response{}, err
 	}
 	return st.Wait()
-}
-
-// Stats summarises served traffic.
-type Stats struct {
-	// Submitted counts requests accepted into the admission queue. In any
-	// Stats value Served + Cancelled + Errored ≤ Submitted, with equality
-	// at quiescence — the counters come from one registry snapshot, so
-	// they can never tear against each other.
-	Submitted int
-	Served    int
-	// Errored counts requests that terminated with a hard failure
-	// (replica configuration errors) — excluded from the percentiles
-	// like cancellations, but never silently dropped from the counters.
-	Errored int
-	// Cancelled counts requests retired through the cancellation path.
-	// They are excluded from the end-to-end latency percentiles (P50/P95
-	// sample only completed responses), but the chunks they streamed
-	// before cancellation still contribute TTFT/ITL samples — those
-	// latencies were really delivered. The cluster layer, which samples
-	// once per completed request instead of per chunk, excludes cancelled
-	// requests from its TTFT/ITL percentiles entirely.
-	Cancelled int
-	P50       time.Duration
-	P95       time.Duration
-	// TTFTP50/TTFTP95 are time-to-first-token percentiles; ITLP50/ITLP95
-	// are inter-token latency percentiles over per-chunk samples (each
-	// streamed chunk contributes one sample: its virtual gap divided by
-	// its token count).
-	TTFTP50 time.Duration
-	TTFTP95 time.Duration
-	ITLP50  time.Duration
-	ITLP95  time.Duration
-}
-
-// Stats returns latency percentiles over everything served so far, read
-// from the server's log-bucket histograms (quantiles exact to within the
-// 12.5% bucket width, deterministic — no sampling). All counters come
-// from one registry snapshot, so they are mutually consistent even while
-// replicas are retiring requests concurrently.
-func (s *Server) Stats() Stats {
-	snap := s.reg.Snapshot()
-	lat, ttft, itl := snap.Histogram("latency"), snap.Histogram("ttft"), snap.Histogram("itl")
-	return Stats{
-		Submitted: int(snap.Counter("submitted")),
-		Served:    int(snap.Counter("served")),
-		Errored:   int(snap.Counter("errored")),
-		Cancelled: int(snap.Counter("cancelled")),
-		P50:       time.Duration(lat.P50),
-		P95:       time.Duration(lat.P95),
-		TTFTP50:   time.Duration(ttft.P50),
-		TTFTP95:   time.Duration(ttft.P95),
-		ITLP50:    time.Duration(itl.P50),
-		ITLP95:    time.Duration(itl.P95),
-	}
 }

@@ -106,13 +106,6 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.Served != n {
-		t.Fatalf("served %d, want %d", st.Served, n)
-	}
-	if st.P50 <= 0 || st.P95 < st.P50 {
-		t.Fatalf("latency percentiles wrong: p50=%v p95=%v", st.P50, st.P95)
-	}
 }
 
 func TestSubmitAfterStop(t *testing.T) {

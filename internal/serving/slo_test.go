@@ -9,52 +9,6 @@ import (
 	"fastrl/internal/trace"
 )
 
-// TestServingHistogramExemplars pins that the latency/TTFT/ITL stats come
-// from exemplar-linked histograms, and that the tail exemplars are real
-// scheduler request IDs that a flight recorder or trace export can be
-// queried with.
-func TestServingHistogramExemplars(t *testing.T) {
-	target, e, tk, gen := servingSetup(t)
-	srv, err := New(serverConfig(tk, 2), target, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-
-	const n = 12
-	for i := 0; i < n; i++ {
-		task := gen.Pool()[i%len(gen.Pool())]
-		if _, err := srv.Serve(context.Background(), Request{
-			Prompt: task.Prompt, MaxNew: 32, Seed: int64(i),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	snap := srv.Registry().Snapshot()
-	lat := snap.Histogram("latency")
-	if lat.N != n {
-		t.Fatalf("latency histogram holds %d samples, want %d", lat.N, n)
-	}
-	if lat.P50 <= 0 || lat.P95 < lat.P50 || lat.P999 < lat.P95 {
-		t.Fatalf("latency quantiles not monotone: %+v", lat)
-	}
-	if len(lat.TailExemplars) == 0 {
-		t.Fatal("latency tail bucket retained no exemplars")
-	}
-	for _, id := range lat.TailExemplars {
-		if id < 1 || id > n {
-			t.Fatalf("tail exemplar %d is not a scheduler request ID in [1,%d]", id, n)
-		}
-	}
-	if ttft := snap.Histogram("ttft"); ttft.N != n || len(ttft.TailExemplars) == 0 {
-		t.Fatalf("ttft histogram: n=%d exemplars=%v", ttft.N, ttft.TailExemplars)
-	}
-	if itl := snap.Histogram("itl"); itl.N == 0 {
-		t.Fatal("itl histogram empty after multi-chunk responses")
-	}
-}
-
 // TestServingSLOFeed pins the serving→slo wiring: a server with an
 // impossible TTFT objective burns its error budget, breaches, and drops
 // breach markers into the shard's flight recorder; a generous objective

@@ -281,15 +281,6 @@ func (s *Server) forceFinish(j *job, err error, admitted bool) {
 	if !j.finished.CompareAndSwap(false, true) {
 		return
 	}
-	// Terminal counters move inside one registry Update group so a
-	// concurrent Snapshot sees the outcome land atomically.
-	s.reg.Update(func() {
-		if errors.Is(err, context.Canceled) {
-			s.cCancelled.Inc()
-		} else {
-			s.cErrored.Inc()
-		}
-	})
 	if admitted {
 		s.inflight.Add(-1)
 	}
@@ -345,45 +336,25 @@ func (st *Stream) OnFinish(fn func(Response)) {
 	j.mu.Unlock()
 }
 
-// latSample is one latency observation staged by a replica during a step:
-// the value in nanoseconds plus the scheduler request ID it exemplifies.
-type latSample struct {
-	ns int64
-	id int64
-}
-
-// stepSamples is a replica-owned scratch batching one step's TTFT/ITL
-// histogram samples, so the server-global stats mutex is taken once per
-// step rather than once per chunk per request (replicas would otherwise
-// serialize on it every iteration). The slices grow to the replica's
+// stepSamples is a replica-owned scratch staging one step's TTFT and ITL
+// samples for the SLO engine, which observes all of a step's TTFTs before
+// its ITLs (the engine evaluates after every observation, so the order
+// fixes where breach markers land). The slices grow to the replica's
 // batch-size high-water mark and are reused.
 type stepSamples struct {
-	ttfts []latSample
-	itls  []latSample
+	ttfts []time.Duration
+	itls  []time.Duration
 }
 
-// flush folds the batched samples into the server histograms under one
-// lock, then feeds the same observations to the SLO engine (if any) at
-// the step's virtual time, then resets the scratch. No-ops (lock-free) on
-// an empty step.
-func (ss *stepSamples) flush(s *Server, now time.Duration) {
-	if len(ss.ttfts) == 0 && len(ss.itls) == 0 {
-		return
-	}
-	s.mu.Lock()
-	for _, v := range ss.ttfts {
-		s.ttfts.Record(v.ns, v.id)
-	}
-	for _, v := range ss.itls {
-		s.itls.Record(v.ns, v.id)
-	}
-	s.mu.Unlock()
-	if s.cfg.SLO != nil {
+// flush feeds the staged samples to eng (if any) at the step's virtual
+// time and resets the scratch.
+func (ss *stepSamples) flush(eng *slo.Engine, now time.Duration) {
+	if eng != nil {
 		for _, v := range ss.ttfts {
-			s.cfg.SLO.ObserveLatency(slo.TTFT, time.Duration(v.ns), now)
+			eng.ObserveLatency(slo.TTFT, v, now)
 		}
 		for _, v := range ss.itls {
-			s.cfg.SLO.ObserveLatency(slo.ITL, time.Duration(v.ns), now)
+			eng.ObserveLatency(slo.ITL, v, now)
 		}
 	}
 	ss.ttfts = ss.ttfts[:0]
@@ -409,16 +380,16 @@ func (s *Server) publishProgress(j *job, r *sched.Request, now time.Duration, sa
 		// enqueue (queueing) plus the request's virtual decode time from
 		// admission to the step boundary that emitted the first chunk.
 		j.ttft = time.Since(j.enqueued) + (now - r.AdmittedAt())
-		samples.ttfts = append(samples.ttfts, latSample{ns: int64(j.ttft), id: int64(r.ID)})
+		samples.ttfts = append(samples.ttfts, j.ttft)
 	} else {
-		// One histogram sample per chunk, valued at the chunk's virtual
-		// gap divided by the tokens it delivered — a per-token rate, not
+		// One ITL sample per chunk, valued at the chunk's virtual gap
+		// divided by the tokens it delivered — a per-token rate, not
 		// per-token weighting (a 5-token chunk still contributes one
 		// sample). Samples are taken as chunks stream, so a request that
 		// is later cancelled still contributed the cadence it really
 		// delivered at.
 		gap := now - j.lastTokV
-		samples.itls = append(samples.itls, latSample{ns: int64(gap) / int64(newTok), id: int64(r.ID)})
+		samples.itls = append(samples.itls, gap/time.Duration(newTok))
 	}
 	j.lastTokV = now
 	j.pubTok = len(gen)
@@ -441,7 +412,7 @@ func (s *Server) publishProgress(j *job, r *sched.Request, now time.Duration, sa
 }
 
 // finishJob publishes a job's terminal state, wakes every waiter, and
-// folds the outcome into the server's accounting. admitted reports
+// settles the server's load and SLO accounting. admitted reports
 // whether the job ever entered a batch (and thus holds an inflight
 // charge). The dedup CAS lets it be called from racing paths (replica
 // retirement vs. failover Fail); exactly one call delivers the terminal
@@ -454,32 +425,8 @@ func (s *Server) finishJob(j *job, resp Response, admitted bool, now time.Durati
 	}
 	// Settle the server-level accounting before any waiter can observe
 	// the terminal event: a client returning from Wait (or pulling the
-	// Usage event) must find its request already reflected in Stats and
-	// the Pending/Inflight probes — the ordering the pre-streaming
-	// response path guaranteed. The whole outcome (counter + latency
-	// sample) lands in one registry Update group, so a concurrent
-	// Snapshot never tears it: every job is in exactly one outcome
-	// counter, and the outcome counters never lead the submission count.
-	s.reg.Update(func() {
-		switch {
-		case resp.Err == nil:
-			ex := resp.ReqID
-			if ex == 0 {
-				ex = -1 // never admitted: no scheduler ID to exemplify
-			}
-			s.mu.Lock()
-			s.lats.RecordDuration(resp.Latency, ex)
-			s.mu.Unlock()
-			s.cServed.Inc()
-		case errors.Is(resp.Err, context.Canceled):
-			s.cCancelled.Inc()
-		default:
-			// Hard failures (replica configuration errors) stay visible in
-			// the stats even though their zero-valued timings are excluded
-			// from the histograms — every job lands in exactly one counter.
-			s.cErrored.Inc()
-		}
-	})
+	// Usage event) must find its request already reflected in the
+	// Pending/Inflight probes and the SLO engine.
 	if admitted {
 		s.inflight.Add(-1)
 	}
