@@ -132,8 +132,13 @@ func compare(w io.Writer, base, head []sample, pinned []*regexp.Regexp, tol floa
 	baseNames, baseBy := group(base)
 	headNames, headBy := group(head)
 	var fails []string
-	fmt.Fprintf(w, "%-28s %7s %12s %12s %7s  %s\n",
-		"benchmark", "slower", "base ns/op", "head ns/op", "ratio", "allocs/op")
+	// The name column fits the longest name, sub-benchmarks included.
+	width := len("benchmark")
+	for _, name := range append(baseNames, headNames...) {
+		width = max(width, len(name))
+	}
+	fmt.Fprintf(w, "%-*s %7s %12s %12s %7s  %s\n",
+		width, "benchmark", "slower", "base ns/op", "head ns/op", "ratio", "allocs/op")
 	for _, name := range baseNames {
 		b, h := baseBy[name], headBy[name]
 		if h == nil {
@@ -155,8 +160,8 @@ func compare(w io.Writer, base, head []sample, pinned []*regexp.Regexp, tol floa
 		}
 		ratio := median(ratios)
 		ba, ha := median(b.allocs), median(h.allocs)
-		fmt.Fprintf(w, "%-28s %3d/%-3d %12.1f %12.1f %7.3f  %g → %g\n",
-			name, slower, n, median(b.ns), median(h.ns), ratio, ba, ha)
+		fmt.Fprintf(w, "%-*s %3d/%-3d %12.1f %12.1f %7.3f  %g → %g\n",
+			width, name, slower, n, median(b.ns), median(h.ns), ratio, ba, ha)
 		if ha > ba {
 			fails = append(fails, fmt.Sprintf("%s: allocs/op median %g → %g", name, ba, ha))
 		}
@@ -167,8 +172,8 @@ func compare(w io.Writer, base, head []sample, pinned []*regexp.Regexp, tol floa
 	}
 	for _, name := range headNames {
 		if h := headBy[name]; baseBy[name] == nil {
-			fmt.Fprintf(w, "%-28s new in head, not gated: %d samples, median %.1f ns/op, %g allocs/op\n",
-				name, len(h.ns), median(h.ns), median(h.allocs))
+			fmt.Fprintf(w, "%-*s new in head, not gated: %d samples, median %.1f ns/op, %g allocs/op\n",
+				width, name, len(h.ns), median(h.ns), median(h.allocs))
 		}
 	}
 	for _, re := range pinned {

@@ -206,7 +206,7 @@ func New(cfg Config) (*System, error) {
 		s.Coord = coord
 		s.Buffer = spot.NewDataBuffer(4096)
 		dev := s.workerDevice()
-		s.Spot = spot.NewTrainer(dev, s.Eagle, target, s.Buffer)
+		s.Spot = spot.NewTrainer(dev, s.Eagle, s.Buffer)
 	case TLTBase:
 		s.NGram = draft.NewNGram(tk.VocabSize(), 1, 3)
 	}
@@ -231,7 +231,8 @@ func (s *System) drafter() draft.Drafter {
 // WarmUpDrafter pre-trains the learned drafter on base-model rollouts,
 // the paper's OpenThoughts warm-up phase. No-op for other system kinds.
 // Every prompt is generated first, in order, from the one shared rng; the
-// harvest, which draws nothing, then runs in parallel.
+// harvest, which draws nothing, then runs in parallel on GOMAXPROCS
+// goroutines.
 func (s *System) WarmUpDrafter(prompts, epochs int) {
 	if s.Eagle == nil {
 		return
@@ -243,7 +244,7 @@ func (s *System) WarmUpDrafter(prompts, epochs int) {
 		seqs = append(seqs, model.Context{Tokens: seq, PromptLen: len(task.Prompt)})
 	}
 	var examples []*draft.Example
-	for _, exs := range s.harvest(seqs) {
+	for _, exs := range s.harvest(seqs, runtime.GOMAXPROCS(0)) {
 		examples = append(examples, exs...)
 	}
 	for e := 0; e < epochs; e++ {
@@ -252,11 +253,11 @@ func (s *System) WarmUpDrafter(prompts, epochs int) {
 }
 
 // harvest runs draft.HarvestExamples over seqs for the system's Eagle on
-// at most GOMAXPROCS goroutines and returns the examples in seqs' order.
-func (s *System) harvest(seqs []model.Context) [][]*draft.Example {
+// at most width goroutines and returns the examples in seqs' order.
+func (s *System) harvest(seqs []model.Context, width int) [][]*draft.Example {
 	out := make([][]*draft.Example, len(seqs))
 	layers := s.Eagle.FusedHiddens()
-	forEach(len(seqs), runtime.GOMAXPROCS(0), func(i int) {
+	forEach(len(seqs), width, func(i int) {
 		out[i] = draft.HarvestExamples(s.Target, seqs[i], layers, true)
 	})
 	return out
@@ -315,9 +316,12 @@ type StepStats struct {
 	Profiles [][]sched.StepProfile
 }
 
-// Step advances one full RL step. It runs the rollout workers, the
-// harvest and spot training on several goroutines and joins them all
-// before it returns; its results do not depend on GOMAXPROCS.
+// Step advances one full RL step. Its rollout workers run on at most
+// GOMAXPROCS goroutines. From the rollout barrier, spot training runs on
+// one goroutine while this one scores the groups, harvests on at most
+// GOMAXPROCS-1 goroutines (itself included) and applies the policy
+// update. Step joins every goroutine before it returns, and its results do
+// not depend on GOMAXPROCS.
 func (s *System) Step() (StepStats, error) {
 	s.step++
 	stats := StepStats{Step: s.step}
@@ -333,7 +337,8 @@ func (s *System) Step() (StepStats, error) {
 	}
 
 	// TLT: spot training runs on its own goroutine from the rollout
-	// barrier, alongside the inference stage and the harvest below.
+	// barrier, alongside the inference stage, the harvest and the policy
+	// update below.
 	training := s.Cfg.Kind == TLT && !s.Cfg.DisableSpot
 	var (
 		spotWG      sync.WaitGroup
@@ -356,7 +361,9 @@ func (s *System) Step() (StepStats, error) {
 	s.Clock.Advance(stats.Inference)
 
 	// TLT: harvest drafter training data from the inference prefill (the
-	// hidden states are produced here anyway; the paper caches them).
+	// hidden states are produced here anyway; the paper caches them). It
+	// runs on GOMAXPROCS-1 goroutines, at least one, so that with the spot
+	// goroutine no more goroutines run than there are Ps.
 	var harvested [][]*draft.Example
 	if training {
 		var seqs []model.Context
@@ -365,24 +372,26 @@ func (s *System) Step() (StepStats, error) {
 				seqs = append(seqs, model.Context{Tokens: r.Full, PromptLen: r.PromptLen})
 			}
 		}
-		harvested = s.harvest(seqs)
+		harvested = s.harvest(seqs, max(1, runtime.GOMAXPROCS(0)-1))
 	}
 
-	// Join spot training before the harvest enters the DataBuffer, whose
-	// SampleBatch would mix it into this step's training, and before
-	// ApplyUpdates writes the target that Eagle.Train reads when it
-	// unrolls.
+	// ---- Training stage: policy update (data parallel over workers). It
+	// writes the target, which spot training never reads (spot.Trainer
+	// holds none), so it runs beside it.
+	kl := s.Trainer.ApplyUpdates(groups)
+	stats.Training = s.trainCost(inferTokens)
+	s.Clock.Advance(stats.Training)
+
+	// Join spot training before the harvest enters the DataBuffer: its
+	// SampleBatch must see an empty current step, or it would mix the
+	// harvest into this step's training. The buffer's StepEnd and the
+	// coordinator's Reset below wait for the join as well.
 	spotWG.Wait()
 	stats.SpotBatches, stats.SpotTime = spotBatches, spotTime
 	stats.IdleTime = max(0, s.idleTime(stats.WorkerFinish, stats.Rollout)-spotTime)
 	for _, exs := range harvested {
 		s.Buffer.Add(spot.Sequence{Examples: exs})
 	}
-
-	// ---- Training stage: policy update (data parallel over workers).
-	kl := s.Trainer.ApplyUpdates(groups)
-	stats.Training = s.trainCost(inferTokens)
-	s.Clock.Advance(stats.Training)
 
 	// ---- Stage-transition overheads.
 	stats.Other = s.transitionCost()
@@ -529,9 +538,10 @@ func (s *System) idleTime(finishes []time.Duration, rolloutEnd time.Duration) ti
 // runSpotTraining drives the coordinator over worker-idle events, in
 // finish order, and spends the granted windows on drafter training with
 // one rng. Step runs it on its own goroutine from the rollout barrier, so
-// it reads the buffer and the target and writes the drafter and the
-// coordinator while nothing else does. Returns the batches trained and the
-// idle time consumed.
+// it reads the buffer and writes the drafter and the coordinator while
+// nothing else does; it never touches the target, which the harvest reads
+// and the policy update writes meanwhile. Returns the batches trained and
+// the idle time consumed.
 func (s *System) runSpotTraining(finishes []time.Duration, rolloutEnd time.Duration) (batches int, used time.Duration) {
 	order := make([]int, len(finishes))
 	for i := range order {

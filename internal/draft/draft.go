@@ -63,15 +63,3 @@ type Example struct {
 	// the DataBuffer uses it for long-sequence prioritisation.
 	SeqLen int
 }
-
-// TrainStats summarises one training call.
-type TrainStats struct {
-	Examples int
-	// ForwardPasses counts drafter forward passes performed, the unit of
-	// the paper's "training cost" column in Table 7 (training-time test
-	// multiplies it).
-	ForwardPasses int
-	// MeanCE is the mean cross-entropy of the drafter against the target
-	// token over the batch, before updates.
-	MeanCE float64
-}

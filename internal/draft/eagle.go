@@ -1,7 +1,6 @@
 package draft
 
 import (
-	"math"
 	"math/rand"
 
 	"fastrl/internal/gpu"
@@ -237,11 +236,11 @@ func (e *Eagle) Probs(tokens []int, promptLen int, hidden *model.HiddenState, te
 
 // Train performs one SGD pass over the examples against the target model.
 // The target is consulted for unrolled (training-time-test) positions;
-// pass nil target to disable unrolling regardless of configuration.
-func (e *Eagle) Train(examples []*Example, target *model.LM, rng *rand.Rand) TrainStats {
-	stats := TrainStats{Examples: len(examples)}
+// pass nil target to disable unrolling regardless of configuration. Every
+// forward pass counts into TrainedPasses.
+func (e *Eagle) Train(examples []*Example, target *model.LM, rng *rand.Rand) {
 	if len(examples) == 0 {
-		return stats
+		return
 	}
 	q := make([]float32, e.cfg.Vocab)
 	grad := make([]float32, e.cfg.Vocab)
@@ -260,7 +259,6 @@ func (e *Eagle) Train(examples []*Example, target *model.LM, rng *rand.Rand) Tra
 	}
 	var featBuf [80]int
 	var dropped model.HiddenState
-	var ceSum float64
 	for _, ex := range examples {
 		hid := ex.Hidden
 		if e.cfg.RankDropout > 0 && hid != nil && rng != nil && rng.Float64() < e.cfg.RankDropout {
@@ -270,27 +268,20 @@ func (e *Eagle) Train(examples []*Example, target *model.LM, rng *rand.Rand) Tra
 		feats := e.features(ex.Tokens, ex.PromptLen, hid, featBuf[:0])
 		e.table.Accumulate(feats, logits)
 		model.Softmax(logits, 1, q)
-		stats.ForwardPasses++
-		ceSum += -math.Log(float64(q[ex.TargetTok]) + 1e-12)
-
 		e.applyGrad(feats, q, grad, ex)
 
 		if tp != nil {
-			e.unroll(ex, target, q, grad, logits, tp, context, rng, &stats)
+			e.unroll(ex, target, q, grad, logits, tp, context, rng)
 		}
 	}
 	e.Version++
-	e.TrainedPasses += stats.ForwardPasses
-	stats.MeanCE = ceSum / float64(len(examples))
-	return stats
+	e.TrainedPasses += len(examples)
 }
 
 func (e *Eagle) applyGrad(feats []int, q []float32, grad []float32, ex *Example) {
 	switch {
 	case e.cfg.Objective == ObjectiveKD && ex.Target != nil:
-		for v := range grad {
-			grad[v] = ex.Target[v] - q[v]
-		}
+		model.Sub(grad, ex.Target, q)
 	default:
 		for v := range grad {
 			grad[v] = -q[v]
@@ -305,7 +296,7 @@ func (e *Eagle) applyGrad(feats []int, q []float32, grad []float32, ex *Example)
 // stale root hidden), supervised by the target model's distribution at
 // each unrolled position. This teaches the drafter to stay aligned at
 // deeper draft indices, at the cost of extra target forward passes.
-func (e *Eagle) unroll(ex *Example, target *model.LM, q, grad, logits, tp []float32, context []int, rng *rand.Rand, stats *TrainStats) {
+func (e *Eagle) unroll(ex *Example, target *model.LM, q, grad, logits, tp []float32, context []int, rng *rand.Rand) {
 	extended := append(context[:0], ex.Tokens...)
 	extended = append(extended, ex.TargetTok)
 	var featBuf [80]int
@@ -314,13 +305,11 @@ func (e *Eagle) unroll(ex *Example, target *model.LM, q, grad, logits, tp []floa
 		feats := e.features(extended, ex.PromptLen, &unrollHidden, featBuf[:0])
 		e.table.Accumulate(feats, logits)
 		model.Softmax(logits, 1, q)
-		stats.ForwardPasses++
+		e.TrainedPasses++
 
 		tctx := model.Context{Tokens: extended, PromptLen: ex.PromptLen}
 		target.Probs(tctx, nil, 1, tp)
-		for v := range grad {
-			grad[v] = tp[v] - q[v]
-		}
+		model.Sub(grad, tp, q)
 		e.table.AddGrad(feats, grad, float32(e.cfg.LR))
 
 		extended = append(extended, model.SampleProbs(tp, rng))

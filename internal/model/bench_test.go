@@ -85,7 +85,7 @@ func BenchmarkTableAccumulate(b *testing.B) {
 	b.Run("go", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tb.accumulateGo(feats, dst, 0)
+			tb.accumulateGo(feats, dst)
 		}
 	})
 }
@@ -102,7 +102,7 @@ func BenchmarkTableAddGrad(b *testing.B) {
 	b.Run("go", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tb.addGradGo(feats, grad, lr, 0)
+			tb.addGradGo(feats, grad, lr)
 		}
 	})
 }

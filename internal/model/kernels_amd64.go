@@ -28,16 +28,28 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// accumulateAVX2 is accumulateGo over lanes [0, vocab&^7) of dst, where
-// w holds the table's rows of vocab weights.
+// accumulateAVX2 is accumulateGo, where w holds the table's rows of vocab
+// weights.
 //
 //go:noescape
 func accumulateAVX2(dst, w []float32, vocab int, features []int)
 
-// addGradAVX2 is addGradGo over lanes [0, vocab&^7).
+// addGradAVX2 is addGradGo.
 //
 //go:noescape
 func addGradAVX2(w []float32, vocab int, features []int, grad []float32, lr float32)
+
+// subAVX2 is subGo.
+//
+//go:noescape
+func subAVX2(dst, a, b []float32)
+
+// maxAVX2 returns the largest of x, which must hold at least eight lanes,
+// and whether any lane is NaN; only when none is does m equal
+// maxLogit(x), up to the sign of a zero maximum.
+//
+//go:noescape
+func maxAVX2(x []float32) (m float32, nan bool)
 
 // expAVX2 sets dst[i] = expf((src[i]-maxL)*invTemp) eight lanes at a time
 // over the leading len(src)&^7 lanes. It stops before the first group of
@@ -63,54 +75,84 @@ var expTab = [...][8]float32{
 
 func splat(c float32) [8]float32 { return [8]float32{c, c, c, c, c, c, c, c} }
 
+// tailMask is eight int32 lanes of -1 and then eight of 0. The eight read
+// from lane 8-r on are the VMASKMOVPS mask of a group's first r lanes.
+var tailMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
+
 func accumulate(t *Table, features []int, dst []float32) {
 	if !useAVX2 {
-		t.accumulateGo(features, dst, 0)
+		t.accumulateGo(features, dst)
 		return
 	}
 	accumulateAVX2(dst, t.w, t.Vocab, features)
-	if n8 := t.Vocab &^ 7; n8 < t.Vocab {
-		t.accumulateGo(features, dst, n8)
-	}
 }
 
 func addGrad(t *Table, features []int, grad []float32, lr float32) {
 	if !useAVX2 {
-		t.addGradGo(features, grad, lr, 0)
+		t.addGradGo(features, grad, lr)
 		return
 	}
 	addGradAVX2(t.w, t.Vocab, features, grad, lr)
-	if n8 := t.Vocab &^ 7; n8 < t.Vocab {
-		t.addGradGo(features, grad, lr, n8)
-	}
 }
 
-// softmax is softmaxGo with the exponentials and the final scaling in
-// AVX2. The greedy branch, the max scan, lanes the kernel leaves, the
-// tail of len mod 8 lanes and the two-lane sum run in Go, the sum in
-// softmaxGo's order: a vector sum would reorder it.
+func sub(dst, a, b []float32) {
+	if !useAVX2 {
+		subGo(dst, a, b)
+		return
+	}
+	subAVX2(dst, a, b)
+}
+
+// softmax is softmaxGo with the max scan, the exponentials and the final
+// scaling in AVX2. The max comes from softmaxMax. A zero maximum may come
+// out as the other zero, which changes x - maxL only in the sign of a
+// zero, and expf(-0) = expf(+0) = 1. The lanes past the last whole group
+// get their exponentials from a rerun of expAVX2 on the last eight lanes,
+// so the lanes both runs cover get the same bits twice. The greedy branch,
+// the lanes the kernel refuses (x > 88 or NaN) and the two-lane sum run in
+// Go, the sum in softmaxGo's order: a vector sum would reorder it. The
+// scaling runs in place, so its tail stays in Go.
 func softmax(logits []float32, temp float64, probs []float32) {
 	if !useAVX2 || temp <= 0 {
 		softmaxGo(logits, temp, probs)
 		return
 	}
-	maxL := maxLogit(logits)
+	n := len(logits)
+	maxL := softmaxMax(logits)
 	invTemp := float32(1 / temp)
-	for i := expAVX2(probs, logits, maxL, invTemp); i < len(logits); i++ {
+	done := expAVX2(probs, logits, maxL, invTemp)
+	if n >= 8 && done == n&^7 && done < n && expAVX2(probs[n-8:], logits[n-8:], maxL, invTemp) == 8 {
+		done = n
+	}
+	for i := done; i < n; i++ {
 		probs[i] = expf((logits[i] - maxL) * invTemp)
 	}
 	var sum0, sum1 float32
 	i := 0
-	for ; i+2 <= len(probs); i += 2 {
+	for ; i+2 <= n; i += 2 {
 		sum0 += probs[i]
 		sum1 += probs[i+1]
 	}
-	if i < len(probs) {
+	if i < n {
 		sum0 += probs[i]
 	}
 	inv := 1 / (sum0 + sum1)
 	scaleAVX2(probs, inv)
-	for i := len(probs) &^ 7; i < len(probs); i++ {
+	for i := n &^ 7; i < n; i++ {
 		probs[i] *= inv
 	}
+}
+
+// softmaxMax is the max softmax subtracts: maxAVX2's, unless the logits
+// are shorter than eight lanes or hold a NaN, and then maxLogit's. Either
+// way it is maxLogit's value, up to the sign of a zero maximum: maxLogit
+// returns NaN for a NaN at lane 0 and skips NaNs elsewhere, where VMAXPS
+// keeps or drops a NaN by operand order.
+func softmaxMax(logits []float32) float32 {
+	if len(logits) >= 8 {
+		if m, nan := maxAVX2(logits); !nan {
+			return m
+		}
+	}
+	return maxLogit(logits)
 }

@@ -2,11 +2,17 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for Table.Accumulate, Table.AddGrad and Softmax. Each one
-// performs, lane by lane, the float32 operations of its Go reference in
-// table.go in the same order, with no FMA, so the results are bit for bit
-// the reference's. The Go wrappers in kernels_amd64.go check every bound
-// and run the lanes past the last whole group of eight.
+// AVX2 kernels for Table.Accumulate, Table.AddGrad, Sub and Softmax. Each
+// one performs, lane by lane, the float32 operations of its Go reference
+// in table.go in the same order, with no FMA, so the results are bit for
+// bit the reference's. The Go wrappers in kernels_amd64.go check every
+// bound. The table kernels and subAVX2 cover every lane: whole groups of
+// eight, then the last len mod 8 lanes as one group whose loads and
+// stores VMASKMOVPS confines to them, with the mask read from tailMask. A
+// masked load reads zeros in the lanes it skips and a masked store leaves
+// them untouched, so no kernel reads or writes past its slices. Softmax's
+// kernels take whole groups only: maxAVX2's last group overlaps the one
+// before it, and the Go wrapper reruns expAVX2 on the last eight lanes.
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -27,11 +33,20 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
+// TAILMASK loads into mask the VMASKMOVPS mask that selects the first r
+// lanes of a group, r in [1, 7]: the eight int32s of tailMask from lane
+// 8-r on. It negates r and clobbers tmp.
+#define TAILMASK(r, tmp, mask) \
+	LEAQ ·tailMask+32(SB), tmp; \
+	NEGQ r; \
+	VMOVDQU (tmp)(r*4), mask
+
 // func accumulateAVX2(dst, w []float32, vocab int, features []int)
 //
-// For each group of eight lanes, one register starts from the bias row and
-// adds each feature row in feature order. Four groups run side by side
-// while at least four remain.
+// Lane v of dst starts from the bias row and adds each feature row in
+// feature order, one register per group of eight lanes. Eight groups run
+// side by side while eight remain, then two, then one, and the vocab mod 8
+// lanes last. Each pass reads its lanes of every row before it stores.
 TEXT ·accumulateAVX2(SB), NOSPLIT, $0-80
 	MOVQ dst_base+0(FP), DI
 	MOVQ w_base+24(FP), SI
@@ -39,43 +54,82 @@ TEXT ·accumulateAVX2(SB), NOSPLIT, $0-80
 	MOVQ features_base+56(FP), R8
 	MOVQ features_len+64(FP), R9
 	MOVQ DX, CX
-	SHRQ $3, CX // groups of eight lanes
-	SHLQ $2, DX // row stride in bytes
+	SHRQ $3, CX // whole groups of eight lanes
+	MOVQ DX, R10
+	ANDQ $7, R10 // tail lanes
+	SHLQ $2, DX  // row stride in bytes
 
-acc4:
-	CMPQ CX, $4
-	JB   acc1
+acc8:
+	CMPQ CX, $8
+	JB   acc2
 	VMOVUPS 0(SI), Y0
 	VMOVUPS 32(SI), Y1
 	VMOVUPS 64(SI), Y2
 	VMOVUPS 96(SI), Y3
+	VMOVUPS 128(SI), Y4
+	VMOVUPS 160(SI), Y5
+	VMOVUPS 192(SI), Y6
+	VMOVUPS 224(SI), Y7
 	XORQ BX, BX
 
-acc4row:
+acc8row:
 	CMPQ  BX, R9
-	JAE   acc4store
+	JAE   acc8store
 	MOVQ  (R8)(BX*8), AX
 	IMULQ DX, AX
 	VADDPS 0(SI)(AX*1), Y0, Y0
 	VADDPS 32(SI)(AX*1), Y1, Y1
 	VADDPS 64(SI)(AX*1), Y2, Y2
 	VADDPS 96(SI)(AX*1), Y3, Y3
+	VADDPS 128(SI)(AX*1), Y4, Y4
+	VADDPS 160(SI)(AX*1), Y5, Y5
+	VADDPS 192(SI)(AX*1), Y6, Y6
+	VADDPS 224(SI)(AX*1), Y7, Y7
 	INCQ  BX
-	JMP   acc4row
+	JMP   acc8row
 
-acc4store:
+acc8store:
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
 	VMOVUPS Y3, 96(DI)
-	ADDQ $128, SI
-	ADDQ $128, DI
-	SUBQ $4, CX
-	JMP  acc4
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ $256, SI
+	ADDQ $256, DI
+	SUBQ $8, CX
+	JMP  acc8
+
+acc2:
+	CMPQ CX, $2
+	JB   acc1
+	VMOVUPS 0(SI), Y0
+	VMOVUPS 32(SI), Y1
+	XORQ BX, BX
+
+acc2row:
+	CMPQ  BX, R9
+	JAE   acc2store
+	MOVQ  (R8)(BX*8), AX
+	IMULQ DX, AX
+	VADDPS 0(SI)(AX*1), Y0, Y0
+	VADDPS 32(SI)(AX*1), Y1, Y1
+	INCQ  BX
+	JMP   acc2row
+
+acc2store:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $2, CX
+	JMP  acc2
 
 acc1:
 	TESTQ CX, CX
-	JZ    accdone
+	JZ    acctail
 	VMOVUPS (SI), Y0
 	XORQ  BX, BX
 
@@ -92,8 +146,26 @@ acc1store:
 	VMOVUPS Y0, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DI
-	DECQ CX
-	JMP  acc1
+
+acctail:
+	TESTQ R10, R10
+	JZ    accdone
+	TAILMASK(R10, AX, Y8)
+	VMASKMOVPS (SI), Y8, Y0
+	XORQ BX, BX
+
+acctailrow:
+	CMPQ  BX, R9
+	JAE   acctailstore
+	MOVQ  (R8)(BX*8), AX
+	IMULQ DX, AX
+	VMASKMOVPS (SI)(AX*1), Y8, Y1
+	VADDPS Y1, Y0, Y0
+	INCQ  BX
+	JMP   acctailrow
+
+acctailstore:
+	VMASKMOVPS Y0, Y8, (DI)
 
 accdone:
 	VZEROUPPER
@@ -101,9 +173,14 @@ accdone:
 
 // func addGradAVX2(w []float32, vocab int, features []int, grad []float32, lr float32)
 //
-// Row by row, the bias row first and then the feature rows in order, each
-// lane gets row + lr*grad. A repeated row reloads what the previous pass
-// stored.
+// For each chunk of up to eight groups of lanes, lr*grad is computed once
+// into registers and then added to the bias row and each feature row in
+// order, every lane stored after its add. float32(lr*grad[v]) is one value
+// however often it is computed, each lane still rounds once per row in
+// row order, and a repeated row reloads what its previous pass stored, so
+// the chunking leaves every bit of addGradGo's result. Chunks of eight
+// groups run while eight remain, then two, then one, and the vocab mod 8
+// lanes last.
 TEXT ·addGradAVX2(SB), NOSPLIT, $0-84
 	MOVQ w_base+0(FP), SI
 	MOVQ vocab+24(FP), DX
@@ -112,33 +189,201 @@ TEXT ·addGradAVX2(SB), NOSPLIT, $0-84
 	MOVQ grad_base+56(FP), R10
 	VBROADCASTSS lr+80(FP), Y15
 	MOVQ DX, CX
-	SHRQ $3, CX // groups of eight lanes per row
-	JZ   graddone
-	SHLQ $2, DX // row stride in bytes
+	SHRQ $3, CX // whole groups of eight lanes per row
+	MOVQ DX, R11
+	ANDQ $7, R11 // tail lanes
+	SHLQ $2, DX  // row stride in bytes
+
+grad8:
+	CMPQ CX, $8
+	JB   grad2
+	VMULPS 0(R10), Y15, Y0 // lr*grad
+	VMULPS 32(R10), Y15, Y1
+	VMULPS 64(R10), Y15, Y2
+	VMULPS 96(R10), Y15, Y3
+	VMULPS 128(R10), Y15, Y4
+	VMULPS 160(R10), Y15, Y5
+	VMULPS 192(R10), Y15, Y6
+	VMULPS 224(R10), Y15, Y7
 	MOVQ SI, DI // the bias row
 	XORQ BX, BX // next feature
 
-gradrow:
-	MOVQ R10, AX
-	MOVQ CX, R11
-
-gradgroup:
-	VMULPS  (AX), Y15, Y0 // lr*grad
-	VADDPS  (DI), Y0, Y0  // row + lr*grad
-	VMOVUPS Y0, (DI)
-	ADDQ $32, AX
-	ADDQ $32, DI
-	DECQ R11
-	JNZ  gradgroup
-	CMPQ BX, R9
-	JAE  graddone
+grad8row:
+	VADDPS  0(DI), Y0, Y8 // row + lr*grad
+	VMOVUPS Y8, 0(DI)
+	VADDPS  32(DI), Y1, Y9
+	VMOVUPS Y9, 32(DI)
+	VADDPS  64(DI), Y2, Y10
+	VMOVUPS Y10, 64(DI)
+	VADDPS  96(DI), Y3, Y11
+	VMOVUPS Y11, 96(DI)
+	VADDPS  128(DI), Y4, Y8
+	VMOVUPS Y8, 128(DI)
+	VADDPS  160(DI), Y5, Y9
+	VMOVUPS Y9, 160(DI)
+	VADDPS  192(DI), Y6, Y10
+	VMOVUPS Y10, 192(DI)
+	VADDPS  224(DI), Y7, Y11
+	VMOVUPS Y11, 224(DI)
+	CMPQ  BX, R9
+	JAE   grad8next
 	MOVQ  (R8)(BX*8), DI
 	IMULQ DX, DI
 	ADDQ  SI, DI
 	INCQ  BX
-	JMP   gradrow
+	JMP   grad8row
+
+grad8next:
+	ADDQ $256, SI
+	ADDQ $256, R10
+	SUBQ $8, CX
+	JMP  grad8
+
+grad2:
+	CMPQ CX, $2
+	JB   grad1
+	VMULPS 0(R10), Y15, Y0
+	VMULPS 32(R10), Y15, Y1
+	MOVQ SI, DI
+	XORQ BX, BX
+
+grad2row:
+	VADDPS  0(DI), Y0, Y8
+	VMOVUPS Y8, 0(DI)
+	VADDPS  32(DI), Y1, Y9
+	VMOVUPS Y9, 32(DI)
+	CMPQ  BX, R9
+	JAE   grad2next
+	MOVQ  (R8)(BX*8), DI
+	IMULQ DX, DI
+	ADDQ  SI, DI
+	INCQ  BX
+	JMP   grad2row
+
+grad2next:
+	ADDQ $64, SI
+	ADDQ $64, R10
+	SUBQ $2, CX
+	JMP  grad2
+
+grad1:
+	TESTQ CX, CX
+	JZ    gradtail
+	VMULPS (R10), Y15, Y0
+	MOVQ SI, DI
+	XORQ BX, BX
+
+grad1row:
+	VADDPS  (DI), Y0, Y8
+	VMOVUPS Y8, (DI)
+	CMPQ  BX, R9
+	JAE   grad1next
+	MOVQ  (R8)(BX*8), DI
+	IMULQ DX, DI
+	ADDQ  SI, DI
+	INCQ  BX
+	JMP   grad1row
+
+grad1next:
+	ADDQ $32, SI
+	ADDQ $32, R10
+
+gradtail:
+	TESTQ R11, R11
+	JZ    graddone
+	TAILMASK(R11, AX, Y14)
+	VMASKMOVPS (R10), Y14, Y0
+	VMULPS     Y0, Y15, Y0
+	MOVQ SI, DI
+	XORQ BX, BX
+
+gradtailrow:
+	VMASKMOVPS (DI), Y14, Y8
+	VADDPS     Y8, Y0, Y8
+	VMASKMOVPS Y8, Y14, (DI)
+	CMPQ  BX, R9
+	JAE   graddone
+	MOVQ  (R8)(BX*8), DI
+	IMULQ DX, DI
+	ADDQ  SI, DI
+	INCQ  BX
+	JMP   gradtailrow
 
 graddone:
+	VZEROUPPER
+	RET
+
+// func subAVX2(dst, a, b []float32)
+//
+// dst = a - b over len(dst) lanes: whole groups of eight, then the
+// len mod 8 lanes as one masked group.
+TEXT ·subAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ CX, R10
+	ANDQ $7, R10 // tail lanes
+	SHRQ $3, CX
+
+subgroup:
+	TESTQ CX, CX
+	JZ    subtail
+	VMOVUPS (SI), Y0
+	VSUBPS  (DX), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	DECQ CX
+	JMP  subgroup
+
+subtail:
+	TESTQ R10, R10
+	JZ    subdone
+	TAILMASK(R10, AX, Y8)
+	VMASKMOVPS (SI), Y8, Y0
+	VMASKMOVPS (DX), Y8, Y1
+	VSUBPS     Y1, Y0, Y0
+	VMASKMOVPS Y0, Y8, (DI)
+
+subdone:
+	VZEROUPPER
+	RET
+
+// func maxAVX2(x []float32) (m float32, nan bool)
+//
+// m is the largest of x by VMAXPS over the groups of eight, the last group
+// ending at len(x) and overlapping the one before; len(x) must be at least
+// 8. nan reports a NaN in any lane, and then m need not be maxLogit's:
+// VMAXPS drops or keeps a NaN by operand order, where maxLogit keeps only
+// a NaN at lane 0. Without NaNs m equals maxLogit(x), except that a tie of
+// -0 and +0 may give the other zero.
+TEXT ·maxAVX2(SB), NOSPLIT, $0-29
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	VMOVUPS -32(SI)(CX*4), Y0 // the last eight lanes
+	VCMPPS  $3, Y0, Y0, Y1    // unordered with itself: NaN
+	SHRQ $3, CX
+
+maxgroup:
+	VMOVUPS (SI), Y2
+	VMAXPS  Y2, Y0, Y0
+	VCMPPS  $3, Y2, Y2, Y3
+	VORPS   Y3, Y1, Y1
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  maxgroup
+	VEXTRACTF128 $1, Y0, X2
+	VMAXPS    X2, X0, X0
+	VPERMILPS $0x4e, X0, X2 // swap the 64-bit halves
+	VMAXPS    X2, X0, X0
+	VPERMILPS $0xb1, X0, X2 // swap neighbouring lanes
+	VMAXPS    X2, X0, X0
+	VMOVSS    X0, m+24(FP)
+	VMOVMSKPS Y1, AX
+	TESTL AX, AX
+	SETNE nan+28(FP)
 	VZEROUPPER
 	RET
 

@@ -3,7 +3,9 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -69,4 +71,37 @@ func TestExpKernelSweep(t *testing.T) {
 	}
 	flush()
 	t.Logf("stride %d: %d inputs matched expf, %d refused as above 88", expSweepStride, checked, refused)
+}
+
+// TestSoftmaxMax checks that softmaxMax returns maxLogit's value, bit for
+// bit except that a zero maximum may be either zero, on softmaxEdges and on
+// random vectors of 1–300 lanes with NaNs at random lanes. Softmax alone
+// cannot show a wrong max once a NaN is in: the NaN reaches the sum and
+// every output is NaN whatever the max.
+func TestSoftmaxMax(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("CPU without AVX2")
+	}
+	check := func(what string, x []float32) {
+		t.Helper()
+		got, want := softmaxMax(x), maxLogit(x)
+		if !sameBits(got, want) && !(got == 0 && want == 0) {
+			t.Fatalf("%s: softmaxMax %g (%#08x), maxLogit %g (%#08x)",
+				what, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	}
+	for _, e := range softmaxEdges() {
+		check(e.name, e.logits)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 2000; trial++ {
+		x := make([]float32, 1+rng.Intn(300))
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			x[rng.Intn(len(x))] = float32(math.NaN())
+		}
+		check(fmt.Sprintf("trial %d, %d lanes", trial, len(x)), x)
+	}
 }

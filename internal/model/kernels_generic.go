@@ -2,14 +2,14 @@
 
 package model
 
-// Without the AVX2 kernels every table and softmax operation runs the Go
-// reference. Race builds land here too: the race detector cannot see
+// Without the AVX2 kernels every table operation, Sub and Softmax run the
+// Go reference. Race builds land here too: the race detector cannot see
 // memory that assembly touches.
 
-func accumulate(t *Table, features []int, dst []float32) { t.accumulateGo(features, dst, 0) }
+func accumulate(t *Table, features []int, dst []float32) { t.accumulateGo(features, dst) }
 
-func addGrad(t *Table, features []int, grad []float32, lr float32) {
-	t.addGradGo(features, grad, lr, 0)
-}
+func addGrad(t *Table, features []int, grad []float32, lr float32) { t.addGradGo(features, grad, lr) }
+
+func sub(dst, a, b []float32) { subGo(dst, a, b) }
 
 func softmax(logits []float32, temp float64, probs []float32) { softmaxGo(logits, temp, probs) }

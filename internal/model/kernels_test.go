@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -89,6 +90,30 @@ func checkSameBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
+// guardBits fills the lanes just past a kernel's output: a NaN whose
+// payload no kernel produces.
+const guardBits = 0x7fa5a5a5
+
+// withGuard returns n zero lanes followed, in the same array, by eight
+// lanes of guardBits, so checkGuard can tell whether a kernel wrote past
+// the end of its slice.
+func withGuard(n int) []float32 {
+	s := make([]float32, n, n+8)
+	for i := range s[n : n+8] {
+		s[:n+8][n+i] = math.Float32frombits(guardBits)
+	}
+	return s
+}
+
+func checkGuard(t *testing.T, what string, s []float32) {
+	t.Helper()
+	for i, x := range s[len(s):cap(s)] {
+		if math.Float32bits(x) != guardBits {
+			t.Fatalf("%s wrote %#08x at lane %d past the end of its %d lanes", what, math.Float32bits(x), i, len(s))
+		}
+	}
+}
+
 // addKernelSeeds adds generated inputs to the committed corpus, so plain
 // go test also covers a spread of shapes and value mixes.
 func addKernelSeeds(f *testing.F) {
@@ -100,43 +125,146 @@ func addKernelSeeds(f *testing.F) {
 	}
 }
 
-// FuzzAccumulate checks the dispatched Accumulate against accumulateGo.
+// FuzzAccumulate checks the dispatched Accumulate against accumulateGo,
+// and that it writes no lane past dst.
 func FuzzAccumulate(f *testing.F) {
 	addKernelSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeKernelCase(data)
-		got := make([]float32, c.tb.Vocab)
+		got := withGuard(c.tb.Vocab)
 		want := make([]float32, c.tb.Vocab)
 		c.tb.Accumulate(c.feats, got)
-		c.tb.accumulateGo(c.feats, want, 0)
+		c.tb.accumulateGo(c.feats, want)
 		checkSameBits(t, "Accumulate", got, want)
+		checkGuard(t, "Accumulate", got)
 	})
 }
 
 // FuzzAddGrad checks the dispatched AddGrad against addGradGo on two
-// copies of one table.
+// copies of one table, and that it writes no lane past the last row.
 func FuzzAddGrad(f *testing.F) {
 	addKernelSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeKernelCase(data)
 		ref := c.tb.Clone()
+		w := withGuard(len(ref.w))
+		copy(w, ref.w)
+		c.tb.w = w
 		c.tb.AddGrad(c.feats, c.vec, c.lr)
-		ref.addGradGo(c.feats, c.vec, c.lr, 0)
+		ref.addGradGo(c.feats, c.vec, c.lr)
 		checkSameBits(t, "AddGrad", c.tb.w, ref.w)
+		checkGuard(t, "AddGrad", c.tb.w)
 	})
 }
 
-// FuzzSoftmax checks the dispatched Softmax against softmaxGo.
+// FuzzSub checks the dispatched Sub against subGo, with the case's vector
+// minus the table's first row, and that it writes no lane past dst.
+func FuzzSub(f *testing.F) {
+	addKernelSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := decodeKernelCase(data)
+		b := c.tb.Row(0)
+		got := withGuard(len(c.vec))
+		want := make([]float32, len(c.vec))
+		Sub(got, c.vec, b)
+		subGo(want, c.vec, b)
+		checkSameBits(t, "Sub", got, want)
+		checkGuard(t, "Sub", got)
+	})
+}
+
+// FuzzSoftmax checks the dispatched Softmax against softmaxGo, and that
+// it writes no lane past probs.
 func FuzzSoftmax(f *testing.F) {
 	addKernelSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeKernelCase(data)
-		got := make([]float32, len(c.vec))
+		got := withGuard(len(c.vec))
 		want := make([]float32, len(c.vec))
 		Softmax(c.vec, c.temp, got)
 		softmaxGo(c.vec, c.temp, want)
 		checkSameBits(t, "Softmax", got, want)
+		checkGuard(t, "Softmax", got)
 	})
+}
+
+// softmaxEdge is one hand-built logits vector for TestSoftmaxEdges.
+type softmaxEdge struct {
+	name   string
+	logits []float32
+}
+
+// softmaxEdges returns the vectors where the vector Softmax could part from
+// softmaxGo: NaNs, where the vector max may not be maxLogit's; a maximum
+// tied between -0 and +0; infinities; and vocabularies on either side of
+// whole groups of eight, where the last group of exponentials overlaps.
+func softmaxEdges() []softmaxEdge {
+	rng := rand.New(rand.NewSource(23))
+	gauss := func(n int) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = float32(rng.NormFloat64() * 3)
+		}
+		return x
+	}
+	with := func(x []float32, lanes map[int]float32) []float32 {
+		for i, v := range lanes {
+			x[i] = v
+		}
+		return x
+	}
+	// negative returns n lanes below zero, so a zero lane is the maximum.
+	negative := func(n int) []float32 {
+		x := gauss(n)
+		for i := range x {
+			x[i] = -1 - float32(math.Abs(float64(x[i])))
+		}
+		return x
+	}
+	fill := func(n int, v float32) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = v
+		}
+		return x
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	edges := []softmaxEdge{
+		{"nan at lane 0 of 82", with(gauss(82), map[int]float32{0: nan})},
+		{"nan at lane 0 of 9", with(gauss(9), map[int]float32{0: nan})},
+		{"nan only in the tail of 82", with(gauss(82), map[int]float32{81: nan})},
+		{"nan only in the tail of 9", with(gauss(9), map[int]float32{8: nan})},
+		{"nan in the last whole group of 82", with(gauss(82), map[int]float32{75: nan})},
+		{"-0 before +0 as the maximum of 82", with(negative(82), map[int]float32{3: negZero, 40: 0})},
+		{"+0 before -0 as the maximum of 16", with(negative(16), map[int]float32{2: 0, 13: negZero})},
+		{"-0 and +0 in one group of 8", with(negative(8), map[int]float32{1: negZero, 6: 0})},
+		{"every lane -Inf of 82", fill(82, float32(math.Inf(-1)))},
+		{"every lane -Inf of 5", fill(5, float32(math.Inf(-1)))},
+		{"+Inf as the maximum of 82", with(gauss(82), map[int]float32{30: inf})},
+		{"+Inf as the maximum in the tail of 82", with(gauss(82), map[int]float32{80: inf})},
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 82} {
+		edges = append(edges, softmaxEdge{fmt.Sprintf("vocab %d", n), gauss(n)})
+	}
+	return edges
+}
+
+// TestSoftmaxEdges checks the dispatched Softmax against softmaxGo, bit
+// for bit or both NaN, on softmaxEdges at ordinary temperatures and at
+// ones whose inverse is huge or overflows float32.
+func TestSoftmaxEdges(t *testing.T) {
+	for _, e := range softmaxEdges() {
+		for _, temp := range []float64{1, 0.9, 1e-30, 5e-324} {
+			got := withGuard(len(e.logits))
+			want := make([]float32, len(e.logits))
+			Softmax(e.logits, temp, got)
+			softmaxGo(e.logits, temp, want)
+			what := fmt.Sprintf("Softmax(%s, temp %g)", e.name, temp)
+			checkSameBits(t, what, got, want)
+			checkGuard(t, what, got)
+		}
+	}
 }
 
 // TestKernelsRejectBadArguments: the kernels do no bounds checks, so the
@@ -157,6 +285,9 @@ func TestKernelsRejectBadArguments(t *testing.T) {
 		"AddGrad short gradient": func() { tb.AddGrad([]int{1}, grad[:18], 1) },
 		"AddGrad long gradient":  func() { tb.AddGrad([]int{1}, append(grad, 0), 1) },
 		"Softmax short probs":    func() { Softmax(dst, 1, grad[:18]) },
+		"Sub short dst":          func() { Sub(dst[:18], grad, grad) },
+		"Sub short a":            func() { Sub(dst, grad[:18], grad) },
+		"Sub short b":            func() { Sub(dst, grad, grad[:18]) },
 	}
 	for name, call := range cases {
 		func() {
@@ -180,6 +311,7 @@ func TestKernelsZeroAllocs(t *testing.T) {
 		"Accumulate": func() { tb.Accumulate(feats, dst) },
 		"AddGrad":    func() { tb.AddGrad(feats, vec, 1e-3) },
 		"Softmax":    func() { Softmax(vec, 0.9, dst) },
+		"Sub":        func() { Sub(dst, vec, vec) },
 	} {
 		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
 			t.Errorf("%s allocates %.1f objects/call, want 0", name, allocs)

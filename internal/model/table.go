@@ -9,14 +9,17 @@
 // policy-gradient updates, and an internal "hidden state" that Eagle-style
 // drafters can condition on.
 //
-// Three loops dominate the host cost of training and drafting:
-// Table.Accumulate, Table.AddGrad and Softmax. On amd64 CPUs with AVX2
-// they run hand-written kernels (kernels_amd64.s), chosen once at start-up
-// from CPUID, that reproduce the Go loops in table.go bit for bit. The Go
-// loops stay as the reference and run everywhere else: on other
-// architectures, on CPUs without AVX2, and in builds tagged purego or
-// built with -race, since the race detector cannot see memory that
-// assembly touches.
+// Four loops dominate the host cost of training and drafting:
+// Table.Accumulate, Table.AddGrad, Softmax and Sub, the drafter's KD
+// gradient. On amd64 CPUs with AVX2 they run hand-written kernels
+// (kernels_amd64.s), chosen once at start-up from CPUID, that reproduce
+// the Go loops in table.go bit for bit. The table kernels and Sub cover
+// every lane, the vocab mod 8 tail through masked loads and stores;
+// Softmax's max scan and exponentials run in AVX2, and its greedy branch,
+// its sum and the inputs its kernels refuse stay in Go. The Go loops stay
+// as the reference and run everywhere else: on other architectures, on
+// CPUs without AVX2, and in builds tagged purego or built with -race,
+// since the race detector cannot see memory that assembly touches.
 package model
 
 import (
@@ -70,14 +73,13 @@ func (t *Table) Accumulate(features []int, dst []float32) {
 	accumulate(t, features, dst)
 }
 
-// accumulateGo is the reference Accumulate over lanes [lo, Vocab) of dst.
-// It is the whole of Accumulate where the AVX2 kernel is unavailable, and
-// the kernel's tail of Vocab mod 8 lanes where it is available.
-func (t *Table) accumulateGo(features []int, dst []float32, lo int) {
-	dst = dst[lo:t.Vocab]
-	copy(dst, t.w[lo:t.Vocab])
+// accumulateGo is the reference Accumulate, and the whole of it where the
+// AVX2 kernel is unavailable.
+func (t *Table) accumulateGo(features []int, dst []float32) {
+	dst = dst[:t.Vocab]
+	copy(dst, t.w[:t.Vocab])
 	for _, f := range features {
-		row := t.w[f*t.Vocab+lo : (f+1)*t.Vocab]
+		row := t.w[f*t.Vocab : (f+1)*t.Vocab]
 		row = row[:len(dst)]
 		v := 0
 		for ; v+4 <= len(dst); v += 4 {
@@ -99,8 +101,9 @@ func (t *Table) accumulateGo(features []int, dst []float32, lo int) {
 // Vocab, and every feature must index a row of the table. A repeated
 // feature is updated once per occurrence.
 //
-// Each update rounds twice, once for lr*grad[v] and once for the add; the
-// AVX2 kernel does the same and so reproduces addGradGo bit for bit.
+// Each update rounds twice, once for lr*grad[v] and once for the add. The
+// AVX2 kernel does the same, computing lr*grad[v] once for all the rows it
+// updates, and so reproduces addGradGo bit for bit.
 func (t *Table) AddGrad(features []int, grad []float32, lr float32) {
 	if len(grad) != t.Vocab {
 		panic("model: gradient has wrong length")
@@ -109,13 +112,13 @@ func (t *Table) AddGrad(features []int, grad []float32, lr float32) {
 	addGrad(t, features, grad, lr)
 }
 
-// addGradGo is the reference AddGrad over lanes [lo, Vocab), as
-// accumulateGo is for Accumulate. The float32 conversion forbids fusing
-// the multiply into the add, which would round once.
-func (t *Table) addGradGo(features []int, grad []float32, lr float32, lo int) {
-	grad = grad[lo:t.Vocab]
+// addGradGo is the reference AddGrad, as accumulateGo is for Accumulate.
+// The float32 conversion forbids fusing the multiply into the add, which
+// would round once.
+func (t *Table) addGradGo(features []int, grad []float32, lr float32) {
+	grad = grad[:t.Vocab]
 	apply := func(r int) {
-		row := t.w[r*t.Vocab+lo : (r+1)*t.Vocab]
+		row := t.w[r*t.Vocab : (r+1)*t.Vocab]
 		for v := range row {
 			row[v] += float32(lr * grad[v])
 		}
@@ -173,15 +176,36 @@ func (t *Table) L2Distance(o *Table) float64 {
 // (or below) produces a one-hot argmax distribution, matching greedy
 // decoding semantics.
 //
-// The AVX2 kernel computes the exponentials and the final scaling eight
-// lanes at a time with expf's float32 operations in expf's order, and
-// leaves the max scan, the sum and the lanes it cannot take to the Go
-// code, so it reproduces softmaxGo, the reference, bit for bit.
+// The AVX2 kernels find the max and compute the exponentials and the
+// final scaling eight lanes at a time, the exponentials with expf's
+// float32 operations in expf's order. The two-lane sum, the max of inputs
+// with a NaN or under eight lanes, and the lanes the exponential kernel
+// refuses run in Go, so Softmax reproduces softmaxGo, the reference, bit
+// for bit.
 func Softmax(logits []float32, temp float64, probs []float32) {
 	if len(probs) != len(logits) {
 		panic("model: probs buffer has wrong length")
 	}
 	softmax(logits, temp, probs)
+}
+
+// Sub sets dst[i] = a[i] - b[i], one float32 rounding per lane. The three
+// slices must have one length. Drafter training computes its KD gradient,
+// the target distribution minus the prediction, with it. The AVX2 kernel
+// reproduces subGo, the reference, bit for bit.
+func Sub(dst, a, b []float32) {
+	if len(a) != len(dst) || len(b) != len(dst) {
+		panic("model: Sub operands differ in length")
+	}
+	sub(dst, a, b)
+}
+
+// subGo is the reference Sub.
+func subGo(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] - b[i]
+	}
 }
 
 // softmaxGo is the reference Softmax.

@@ -82,6 +82,6 @@ func (c *Cache) Export(tokens []int) (ExportedPrefix, bool) {
 // the copied sequence, so all budget/eviction/continuation accounting
 // applies unchanged. Hit counts do not transfer; they are per-shard access
 // statistics.
-func (c *Cache) Import(p ExportedPrefix) *Node {
-	return c.Insert(p.Tokens, p.PromptLen)
+func (c *Cache) Import(p ExportedPrefix) {
+	c.Insert(p.Tokens, p.PromptLen)
 }

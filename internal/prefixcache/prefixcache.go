@@ -232,12 +232,11 @@ func labelMatches(label, tokens []int) bool {
 // continuation counts along it are incremented, node boundaries are forced
 // at promptLen and len(tokens), and the node at promptLen is marked as a
 // prompt boundary, charged promptStateBytes the first time. A promptLen of
-// 0 marks nothing (the root carries no state). It returns the node at the
-// prompt boundary (not retained) and runs eviction until the cache fits
-// its budget. Inserting an empty sequence is a no-op returning nil.
-func (c *Cache) Insert(tokens []int, promptLen int) *Node {
+// 0 marks nothing (the root carries no state). It then runs eviction
+// until the cache fits its budget. Inserting an empty sequence is a no-op.
+func (c *Cache) Insert(tokens []int, promptLen int) {
 	if len(tokens) == 0 {
-		return nil
+		return
 	}
 	if promptLen < 0 {
 		promptLen = 0
@@ -296,7 +295,6 @@ func (c *Cache) Insert(tokens []int, promptLen int) *Node {
 		c.resident += promptStateBytes
 	}
 	c.evict()
-	return boundary
 }
 
 // newNode creates a child of parent with the given label run (copied) and

@@ -109,26 +109,26 @@ func TestLookupReturnsTruePrefix(t *testing.T) {
 // from the marked node, and a later split above it keeps the mark on it.
 func TestPromptBoundary(t *testing.T) {
 	c := New(Config{})
-	bn := c.Insert(seq(1, 2, 3, 4, 5), 3)
-	if bn == nil || bn.Depth() != 3 || !bn.prompt {
-		t.Fatalf("boundary node = %+v, want a marked node at depth 3", bn)
+	c.Insert(seq(1, 2, 3, 4, 5), 3)
+	bn, m := c.Lookup(seq(1, 2, 3))
+	bn.Release()
+	if m != 3 || bn.Depth() != 3 || !bn.prompt {
+		t.Fatalf("prompt lookup: matched %d, node %+v; want a marked node at depth 3", m, bn)
 	}
 	n, m := c.Lookup(seq(1, 2, 3, 4, 5))
-	if m != 5 || n.prompt {
-		t.Fatalf("full lookup: matched %d, marked %v; want 5, unmarked", m, n.prompt)
-	}
-	n.Release()
-	n, m = c.Lookup(seq(1, 2, 3))
-	if n != bn || m != 3 {
-		t.Fatalf("prompt lookup: node %p matched %d, want the boundary %p at 3", n, m, bn)
+	if m != 5 || n.prompt || n.parent != bn {
+		t.Fatalf("full lookup: matched %d, marked %v, parent %p; want 5, unmarked, below the boundary %p", m, n.prompt, n.parent, bn)
 	}
 	n.Release()
 
 	// A sequence diverging at depth 2 splits the boundary's edge; the
 	// boundary keeps its identity, depth and mark, and the new mid node
-	// stays unmarked.
-	if c.Insert(seq(1, 2, 9), 0) != nil {
-		t.Fatal("promptLen 0 returned a boundary node")
+	// and leaf stay unmarked, as promptLen 0 marks nothing.
+	c.Insert(seq(1, 2, 9), 0)
+	if n, m := c.Lookup(seq(1, 2, 9)); m != 3 || n.prompt {
+		t.Fatalf("promptLen 0 leaf: matched %d, marked %v; want 3, unmarked", m, n.prompt)
+	} else {
+		n.Release()
 	}
 	if !bn.prompt || bn.Depth() != 3 || bn.parent.Depth() != 2 || bn.parent.prompt {
 		t.Fatalf("after split: boundary marked %v at %d, parent marked %v at %d",

@@ -270,11 +270,14 @@ func (s *Server) replica(id int) {
 	rng := rand.New(rand.NewSource(0x5eed ^ int64(id)))
 	// running tracks the jobs inside this replica's batch so each step can
 	// publish their stream progress; samples stages the step's TTFT/ITL
-	// observations for the SLO feed.
+	// observations for the SLO feed, and stays nil without an SLO engine.
 	running := make([]*job, 0, s.cfg.MaxBatch)
-	samples := &stepSamples{
-		ttfts: make([]time.Duration, 0, s.cfg.MaxBatch),
-		itls:  make([]time.Duration, 0, s.cfg.MaxBatch),
+	var samples *stepSamples
+	if s.cfg.SLO != nil {
+		samples = &stepSamples{
+			ttfts: make([]time.Duration, 0, s.cfg.MaxBatch),
+			itls:  make([]time.Duration, 0, s.cfg.MaxBatch),
+		}
 	}
 
 	admit := func(j *job) {

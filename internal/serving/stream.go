@@ -340,15 +340,19 @@ func (st *Stream) OnFinish(fn func(Response)) {
 // samples for the SLO engine, which observes all of a step's TTFTs before
 // its ITLs (the engine evaluates after every observation, so the order
 // fixes where breach markers land). The slices grow to the replica's
-// batch-size high-water mark and are reused.
+// batch-size high-water mark and are reused. A replica without an SLO
+// engine stages nothing and holds a nil *stepSamples.
 type stepSamples struct {
 	ttfts []time.Duration
 	itls  []time.Duration
 }
 
 // flush feeds the staged samples to eng (if any) at the step's virtual
-// time and resets the scratch.
+// time and resets the scratch. It is a no-op on a nil scratch.
 func (ss *stepSamples) flush(eng *slo.Engine, now time.Duration) {
+	if ss == nil {
+		return
+	}
 	if eng != nil {
 		for _, v := range ss.ttfts {
 			eng.ObserveLatency(slo.TTFT, v, now)
@@ -363,8 +367,9 @@ func (ss *stepSamples) flush(eng *slo.Engine, now time.Duration) {
 
 // publishProgress pushes one running request's newly decoded state into
 // its stream: token and accept slice headers advance under the job mutex,
-// TTFT/ITL samples land in the replica's step scratch, and a blocked Recv
-// is woken. It no-ops when the step produced nothing for this request
+// TTFT/ITL samples land in the replica's step scratch when it has one (a
+// nil samples, a replica without an SLO engine, stages none), and a
+// blocked Recv is woken. It no-ops when the step produced nothing for this request
 // (tool-wait, KV-queued). Allocation-free in steady state — this runs for
 // every running request at every step boundary.
 func (s *Server) publishProgress(j *job, r *sched.Request, now time.Duration, samples *stepSamples) {
@@ -380,8 +385,10 @@ func (s *Server) publishProgress(j *job, r *sched.Request, now time.Duration, sa
 		// enqueue (queueing) plus the request's virtual decode time from
 		// admission to the step boundary that emitted the first chunk.
 		j.ttft = time.Since(j.enqueued) + (now - r.AdmittedAt())
-		samples.ttfts = append(samples.ttfts, j.ttft)
-	} else {
+		if samples != nil {
+			samples.ttfts = append(samples.ttfts, j.ttft)
+		}
+	} else if samples != nil {
 		// One ITL sample per chunk, valued at the chunk's virtual gap
 		// divided by the tokens it delivered — a per-token rate, not
 		// per-token weighting (a 5-token chunk still contributes one

@@ -296,7 +296,7 @@ func newSpotSetup(t testing.TB) (*Trainer, *model.LM, *tokenizer.Tokenizer) {
 	}
 	target := model.New(mcfg, &model.GrammarPrior{AnswerID: tk.Answer(), EosID: tk.Eos(), DigitIDs: digits})
 	drafter := draft.NewEagle(draft.EagleDefault(tk.VocabSize(), gpu.Qwen7B))
-	tr := NewTrainer(gpu.NewDevice(gpu.H100, 1), drafter, target, NewDataBuffer(500))
+	tr := NewTrainer(gpu.NewDevice(gpu.H100, 1), drafter, NewDataBuffer(500))
 	return tr, target, tk
 }
 

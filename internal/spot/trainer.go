@@ -6,7 +6,6 @@ import (
 
 	"fastrl/internal/draft"
 	"fastrl/internal/gpu"
-	"fastrl/internal/model"
 )
 
 const (
@@ -34,11 +33,14 @@ type WindowStats struct {
 }
 
 // Trainer runs preemptible drafter training windows over the DataBuffer.
+// It holds no target model: the drafter learns from the distributions the
+// harvest stored in each example, so training never reads the target and
+// the policy update can write it meanwhile. With no target, Train does not
+// unroll, which TLT's drafter (EagleDefault, one step) never does anyway.
 type Trainer struct {
 	// Device executes the (virtual) training steps.
 	Device  *gpu.Device
 	Drafter *draft.Eagle
-	Target  *model.LM
 	Buffer  *DataBuffer
 
 	// Totals across windows.
@@ -47,8 +49,8 @@ type Trainer struct {
 }
 
 // NewTrainer wires a spot trainer.
-func NewTrainer(dev *gpu.Device, drafter *draft.Eagle, target *model.LM, buffer *DataBuffer) *Trainer {
-	return &Trainer{Device: dev, Drafter: drafter, Target: target, Buffer: buffer}
+func NewTrainer(dev *gpu.Device, drafter *draft.Eagle, buffer *DataBuffer) *Trainer {
+	return &Trainer{Device: dev, Drafter: drafter, Buffer: buffer}
 }
 
 // RunWindow trains until the virtual budget is exhausted or the buffer
@@ -85,7 +87,7 @@ func (t *Trainer) RunWindow(budget time.Duration, rng *rand.Rand) WindowStats {
 			break
 		}
 
-		t.Drafter.Train(examples, t.Target, rng)
+		t.Drafter.Train(examples, nil, rng)
 		stats.Batches++
 		stats.Sequences += len(batch)
 		stats.Examples += len(examples)
