@@ -29,7 +29,7 @@ out="$(pwd)/.bench_build/ab"
 # test reports nothing for a benchmark matched at the first level alone
 # when the pattern has a second. A benchmark that only head has is
 # reported as new and not gated, so a newly pinned one, such as
-# BenchmarkRunWindow, has no base side in its first run.
+# BenchmarkTopK/kernel, has no base side in its first run.
 pinned=(
 	"sched BenchmarkBatchStep BenchmarkBatchStep16 BenchmarkBatchStep64"
 	"specdec BenchmarkSpecRound BenchmarkVanillaStep BenchmarkStepBatch"
@@ -38,7 +38,7 @@ pinned=(
 	"serving BenchmarkStreamServe"
 	"prefixcache BenchmarkLookup"
 	"metrics BenchmarkHistogramRecord"
-	"model BenchmarkTableAccumulate/kernel BenchmarkTableAddGrad/kernel BenchmarkSoftmax/kernel"
+	"model BenchmarkTableAccumulate/kernel BenchmarkTableAddGrad/kernel BenchmarkSoftmax/kernel BenchmarkTopK/kernel"
 )
 # Twenty pairs let the nine-in-ten rule fail a clear slowdown while a 0.25 s
 # sample keeps a run within a few minutes on two cores. One CPU keeps the

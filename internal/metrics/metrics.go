@@ -24,10 +24,15 @@ func Percentile(xs []float64, p float64) float64 {
 			sorted = append(sorted, x)
 		}
 	}
+	sort.Float64s(sorted)
+	return percentileSorted(sorted, p)
+}
+
+// percentileSorted is Percentile of an ascending slice without NaNs.
+func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	sort.Float64s(sorted)
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -105,11 +110,15 @@ func GeoMean(xs []float64) float64 {
 }
 
 // Window is a fixed-capacity sliding window of float64 observations — the
-// deque used by the BEG-MAB selector's reward history.
+// deque used by the BEG-MAB selector's reward history. It keeps its
+// samples' non-NaN values sorted as they come and go, so Median reads
+// them without sorting or allocating: the selector takes a median for
+// every arm of a batch-size group on every scheduler step.
 type Window struct {
-	cap  int
-	data []float64
-	head int
+	cap    int
+	data   []float64
+	head   int
+	sorted []float64 // data's non-NaN samples, ascending
 }
 
 // NewWindow creates a window with the given capacity (minimum 1).
@@ -117,17 +126,38 @@ func NewWindow(capacity int) *Window {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Window{cap: capacity, data: make([]float64, 0, capacity)}
+	return &Window{cap: capacity, data: make([]float64, 0, capacity), sorted: make([]float64, 0, capacity)}
 }
 
 // Push appends an observation, evicting the oldest when full.
 func (w *Window) Push(x float64) {
 	if len(w.data) < w.cap {
 		w.data = append(w.data, x)
+	} else {
+		w.unsort(w.data[w.head])
+		w.data[w.head] = x
+		w.head = (w.head + 1) % w.cap
+	}
+	if math.IsNaN(x) {
 		return
 	}
-	w.data[w.head] = x
-	w.head = (w.head + 1) % w.cap
+	i := sort.SearchFloat64s(w.sorted, x)
+	w.sorted = append(w.sorted, 0)
+	copy(w.sorted[i+1:], w.sorted[i:])
+	w.sorted[i] = x
+}
+
+// unsort removes an evicted sample from the sorted copy: the equal value
+// with its exact bits, so a -0 leaves as -0.
+func (w *Window) unsort(x float64) {
+	if math.IsNaN(x) {
+		return
+	}
+	i := sort.SearchFloat64s(w.sorted, x)
+	for math.Float64bits(w.sorted[i]) != math.Float64bits(x) {
+		i++
+	}
+	w.sorted = append(w.sorted[:i], w.sorted[i+1:]...)
 }
 
 // Len returns the number of stored observations.
@@ -136,8 +166,9 @@ func (w *Window) Len() int { return len(w.data) }
 // Values returns a copy of the stored observations (order unspecified).
 func (w *Window) Values() []float64 { return append([]float64(nil), w.data...) }
 
-// Median returns the median of the stored observations (0 when empty).
-func (w *Window) Median() float64 { return Median(w.data) }
+// Median returns the median of the stored observations (0 when empty),
+// Median(w.Values()) without the copy and the sort.
+func (w *Window) Median() float64 { return percentileSorted(w.sorted, 50) }
 
 // Mean returns the mean of the stored observations (0 when empty).
 func (w *Window) Mean() float64 { return Mean(w.data) }

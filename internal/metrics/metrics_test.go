@@ -169,6 +169,45 @@ func TestWindowSlidingProperty(t *testing.T) {
 	}
 }
 
+// TestWindowMedianMatchesPercentile pushes random samples, with NaNs,
+// infinities, signed zeros and repeats among them, through windows of
+// random capacity and checks after every push that Median, read from the
+// sorted copy the window keeps, equals Percentile of its samples.
+func TestWindowMedianMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, 1, 2.5}
+	for trial := 0; trial < 200; trial++ {
+		w := NewWindow(1 + rng.Intn(40))
+		for i := 0; i < 300; i++ {
+			x := rng.NormFloat64()
+			if rng.Intn(4) == 0 {
+				x = special[rng.Intn(len(special))]
+			}
+			w.Push(x)
+			got, want := w.Median(), Percentile(w.Values(), 50)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("trial %d push %d: Median %v, Percentile %v of %v", trial, i, got, want, w.Values())
+			}
+		}
+	}
+}
+
+// TestWindowZeroAllocs pins Push and Median at zero allocations once the
+// window is full: the BEG-MAB selector reads a median per arm on every
+// scheduler step.
+func TestWindowZeroAllocs(t *testing.T) {
+	w := NewWindow(32)
+	x := 0.0
+	allocs := testing.AllocsPerRun(200, func() {
+		x += 0.37
+		w.Push(math.Mod(x, 5))
+		_ = w.Median()
+	})
+	if allocs != 0 {
+		t.Fatalf("Push and Median allocate %.1f objects/call, want 0", allocs)
+	}
+}
+
 func TestThroughput(t *testing.T) {
 	if got := Throughput(1000, time.Second); got != 1000 {
 		t.Fatalf("Throughput = %v", got)

@@ -123,3 +123,32 @@ func BenchmarkSoftmax(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkTopK runs TopKInto at the drafter's shape, the top 6 of 82
+// lanes, cycling over 64 softmax rows of drafter-scale logits so the
+// branch predictor cannot learn one row.
+func BenchmarkTopK(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	rows := make([][]float32, 64)
+	logits := make([]float32, 82)
+	for r := range rows {
+		for i := range logits {
+			logits[i] = float32(rng.NormFloat64() * 3)
+		}
+		rows[r] = make([]float32, len(logits))
+		Softmax(logits, 1, rows[r])
+	}
+	dst := make([]int, 0, 6)
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = TopKInto(rows[i%len(rows)], 6, dst)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = topKGo(rows[i%len(rows)], 6, dst)
+		}
+	})
+}

@@ -64,6 +64,14 @@ func expAVX2(dst, src []float32, maxL, invTemp float32) (done int)
 //go:noescape
 func scaleAVX2(p []float32, s float32)
 
+// topKAVX2 writes to idx the indices topKGo(x, k) returns, and any
+// indices to the lanes from k on. x must hold at least eight lanes and
+// fewer than 2^31, and k must be in [1, 8]. It returns false, with idx
+// unspecified, when any lane of x is NaN.
+//
+//go:noescape
+func topKAVX2(x []float32, k int, idx *[8]int) (ok bool)
+
 // expTab holds expf's constants, each broadcast to eight lanes, in the
 // order expAVX2 reads them. splat's float32 parameter rounds each one
 // exactly as expf's float32 arithmetic does.
@@ -78,6 +86,10 @@ func splat(c float32) [8]float32 { return [8]float32{c, c, c, c, c, c, c, c} }
 // tailMask is eight int32 lanes of -1 and then eight of 0. The eight read
 // from lane 8-r on are the VMASKMOVPS mask of a group's first r lanes.
 var tailMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
+
+// topKShift holds the VPERMD indices with which topKAVX2 moves each lane
+// of its buffer up one, lane 0 keeping its own.
+var topKShift = [8]int32{0, 0, 1, 2, 3, 4, 5, 6}
 
 func accumulate(t *Table, features []int, dst []float32) {
 	if !useAVX2 {
@@ -155,4 +167,18 @@ func softmaxMax(logits []float32) float32 {
 		}
 	}
 	return maxLogit(logits)
+}
+
+// topK is topKGo with topKAVX2 for k <= 8 over at least eight lanes. A
+// NaN anywhere sends the call to topKGo, whose NaN handling the kernel
+// does not reproduce.
+func topK(probs []float32, k int, dst []int) []int {
+	if !useAVX2 || k <= 0 || k > 8 || len(probs) < 8 || len(probs) >= 1<<31 {
+		return topKGo(probs, k, dst)
+	}
+	var idx [8]int
+	if !topKAVX2(probs, k, &idx) {
+		return topKGo(probs, k, dst)
+	}
+	return append(dst[:0], idx[:k]...)
 }

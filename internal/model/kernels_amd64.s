@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for Table.Accumulate, Table.AddGrad, Sub and Softmax. Each
-// one performs, lane by lane, the float32 operations of its Go reference
-// in table.go in the same order, with no FMA, so the results are bit for
-// bit the reference's. The Go wrappers in kernels_amd64.go check every
+// AVX2 kernels for Table.Accumulate, Table.AddGrad, Sub, Softmax and TopK.
+// Each float kernel performs, lane by lane, the float32 operations of its
+// Go reference in table.go in the same order, with no FMA, so the results
+// are bit for bit the reference's; topKAVX2 makes topKGo's comparisons and
+// so returns its indices. The Go wrappers in kernels_amd64.go check every
 // bound. The table kernels and subAVX2 cover every lane: whole groups of
 // eight, then the last len mod 8 lanes as one group whose loads and
 // stores VMASKMOVPS confines to them, with the mask read from tailMask. A
@@ -476,5 +477,219 @@ scalegroup:
 	JNZ  scalegroup
 
 scaledone:
+	VZEROUPPER
+	RET
+
+// func topKAVX2(x []float32, k int, idx *[8]int) (ok bool)
+//
+// Three steps, with a data-dependent branch only where the row has an
+// element to insert or a chunk to end:
+//
+//  1. The lane maxima: the largest value in each lane of the groups of
+//     eight, two groups at a time in Y6 and Y7. The last len mod 8 lanes
+//     are the last eight with the lanes already read set to -Inf, so each
+//     lane's maximum is an element of its own lanes, and the eight are
+//     eight different elements. A NaN in any lane returns ok false.
+//  2. The threshold t: the k-th largest lane maximum, the smallest of
+//     those that fewer than k others exceed. At least k elements are at
+//     least t, so no element below t is in the top k.
+//  3. The insertions: every element at least t, in index order, goes into
+//     a buffer of eight keys in Y0, descending, and their indices in Y1.
+//     A key is the float's magnitude bits, negated for a negative float,
+//     so keys order as the floats do with -0 equal to +0, and comparing
+//     them takes one-cycle integer instructions; the buffer starts as
+//     eight keys below every float's. With p's key, the lane moved up
+//     one (lane 0 reading the largest key) is min(moved, p), and the new
+//     buffer is max(buffer, that): each lane below the insertion point
+//     keeps its key, the insertion point takes p and each lane above
+//     takes its lower neighbour. The indices follow the masks p > buffer
+//     and p > moved. The strict compares keep topKGo's ties: an equal key
+//     already in stays ahead, and a key that does not beat the k-th
+//     changes none of lanes 0 to k-1. The elements at least t are marked
+//     in a 64-bit word per chunk of eight groups, then inserted from it.
+//
+// The top k of the elements at least t are the top k of x in the total
+// order topKGo keeps without NaNs (values descending, ties by ascending
+// index), so idx[:k] is topKGo's result. Every move between general and
+// vector registers is VEX-encoded, since a legacy SSE instruction beside
+// dirty upper YMM halves pays a transition penalty.
+TEXT ·topKAVX2(SB), NOSPLIT, $0-41
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), DI
+	MOVQ k+24(FP), DX
+	VPCMPEQD Y15, Y15, Y15 // all ones
+	VPSLLD   $23, Y15, Y14 // -Inf
+	VPSRLD   $1, Y15, Y13  // the largest key, and the magnitude mask
+	VPSLLD   $31, Y15, Y15 // the smallest key, below every float's
+	VPSRLD   $8, Y13, Y12
+	VPXOR    Y12, Y13, Y12 // +Inf
+
+	// 1. The lane maxima and the NaN lanes.
+	VMOVUPS (SI), Y6
+	VMOVAPS Y6, Y7
+	VCMPPS  $3, Y6, Y6, Y8 // unordered with itself: NaN
+	MOVQ    $8, BX
+
+topkmax2:
+	LEAQ 16(BX), AX
+	CMPQ AX, DI
+	JA   topkmax1
+	VMOVUPS (SI)(BX*4), Y9
+	VMOVUPS 32(SI)(BX*4), Y10
+	VMAXPS  Y9, Y6, Y6
+	VMAXPS  Y10, Y7, Y7
+	VCMPPS  $3, Y9, Y9, Y11
+	VCMPPS  $3, Y10, Y10, Y4
+	VORPS   Y11, Y8, Y8
+	VORPS   Y4, Y8, Y8
+	ADDQ    $16, BX
+	JMP     topkmax2
+
+topkmax1:
+	LEAQ 8(BX), AX
+	CMPQ AX, DI
+	JA   topkmaxtail
+	VMOVUPS (SI)(BX*4), Y9
+	VMAXPS  Y9, Y6, Y6
+	VCMPPS  $3, Y9, Y9, Y11
+	VORPS   Y11, Y8, Y8
+	ADDQ    $8, BX
+
+topkmaxtail:
+	CMPQ BX, DI
+	JAE  topknan
+	MOVQ DI, CX
+	SUBQ BX, CX                // r, 1 to 7 lanes left
+	VMOVUPS -32(SI)(DI*4), Y9  // the last eight lanes
+	VCMPPS  $3, Y9, Y9, Y11
+	VORPS   Y11, Y8, Y8
+	LEAQ    ·tailMask(SB), AX
+	VMOVDQU (AX)(CX*4), Y11    // the first 8-r lanes, read before
+	VBLENDVPS Y11, Y14, Y9, Y9 // read before ? -Inf : x
+	VMAXPS  Y9, Y7, Y7
+
+topknan:
+	VMAXPS    Y7, Y6, Y6
+	VMOVMSKPS Y8, AX
+	TESTL     AX, AX
+	JNZ       topkfail
+
+	// 2. The threshold: Y10 counts, per lane, the other lanes whose
+	// maximum is greater, through the three in-lane shuffles of Y6 and
+	// of its halves swapped, and the swap itself.
+	VPXOR      Y10, Y10, Y10
+	VPERM2F128 $1, Y6, Y6, Y11    // halves swapped
+	VCMPPS     $0x1e, Y6, Y11, Y9 // other > mine, ordered
+	VPSUBD     Y9, Y10, Y10
+	VPERMILPS  $0xb1, Y6, Y9      // neighbours swapped
+	VCMPPS     $0x1e, Y6, Y9, Y9
+	VPSUBD     Y9, Y10, Y10
+	VPERMILPS  $0x4e, Y6, Y9      // pairs swapped
+	VCMPPS     $0x1e, Y6, Y9, Y9
+	VPSUBD     Y9, Y10, Y10
+	VPERMILPS  $0x1b, Y6, Y9      // reversed
+	VCMPPS     $0x1e, Y6, Y9, Y9
+	VPSUBD     Y9, Y10, Y10
+	VPERMILPS  $0xb1, Y11, Y9
+	VCMPPS     $0x1e, Y6, Y9, Y9
+	VPSUBD     Y9, Y10, Y10
+	VPERMILPS  $0x4e, Y11, Y9
+	VCMPPS     $0x1e, Y6, Y9, Y9
+	VPSUBD     Y9, Y10, Y10
+	VPERMILPS  $0x1b, Y11, Y9
+	VCMPPS     $0x1e, Y6, Y9, Y9
+	VPSUBD     Y9, Y10, Y10
+	VMOVD        DX, X9
+	VPBROADCASTD X9, Y9
+	VPCMPGTD     Y10, Y9, Y9      // k > count: among the top k
+	VBLENDVPS    Y9, Y6, Y12, Y12 // among the top k ? max : +Inf
+	VPERM2F128   $1, Y12, Y12, Y9
+	VMINPS       Y9, Y12, Y12
+	VPERMILPS    $0x4e, Y12, Y9
+	VMINPS       Y9, Y12, Y12
+	VPERMILPS    $0xb1, Y12, Y9
+	VMINPS       Y9, Y12, Y12     // t, in every lane
+
+	// 3. The insertions.
+	VMOVDQA Y15, Y0 // keys below every float's
+	VPXOR   Y1, Y1, Y1
+	VMOVDQU ·topKShift(SB), Y2 // lane i reads lane i-1
+	XORQ    BX, BX             // the next lane to mark
+
+topkchunk:
+	XORQ R12, R12 // marks, bit b for lane R13+b
+	MOVQ BX, R13
+	XORQ R14, R14 // the next group's first bit
+
+topkmark:
+	CMPQ R14, $64
+	JAE  topkinsert
+	LEAQ 8(BX), AX
+	CMPQ AX, DI
+	JA   topkmarktail
+	VMOVUPS   (SI)(BX*4), Y9
+	VCMPPS    $0x1d, Y12, Y9, Y9 // x >= t, ordered
+	VMOVMSKPS Y9, AX
+	MOVQ      R14, CX
+	SHLQ      CX, AX
+	ORQ       AX, R12
+	ADDQ      $8, R14
+	ADDQ      $8, BX
+	JMP       topkmark
+
+topkmarktail:
+	CMPQ BX, DI
+	JAE  topkinsert
+	VMOVUPS   -32(SI)(DI*4), Y9
+	VCMPPS    $0x1d, Y12, Y9, Y9
+	VMOVMSKPS Y9, AX
+	LEAQ      8(BX), CX
+	SUBQ      DI, CX // 8-r, the lanes read before
+	SHRL      CX, AX
+	MOVQ      R14, CX
+	SHLQ      CX, AX
+	ORQ       AX, R12
+	MOVQ      DI, BX
+
+topkinsert:
+	TESTQ R12, R12
+	JZ    topknext
+
+topkone:
+	BSFQ R12, CX
+	LEAQ (R13)(CX*1), DX // the element's index
+	VPBROADCASTD (SI)(DX*4), Y9
+	VPAND        Y13, Y9, Y10
+	VPSIGND      Y9, Y10, Y9 // p's key
+	VMOVD        DX, X10
+	VPBROADCASTD X10, Y10
+	VPERMD    Y0, Y2, Y11
+	VPBLENDD  $1, Y13, Y11, Y11 // the keys moved up one lane
+	VPCMPGTD  Y0, Y9, Y4        // p > key
+	VPCMPGTD  Y11, Y9, Y5       // p > moved key
+	VPMINSD   Y9, Y11, Y11
+	VPMAXSD   Y11, Y0, Y0
+	VPBLENDVB Y4, Y10, Y1, Y11  // p > key ? p's index : index
+	VPERMD    Y1, Y2, Y6
+	VPBLENDVB Y5, Y6, Y11, Y1   // p > moved key ? moved index : that
+	LEAQ -1(R12), AX
+	ANDQ AX, R12
+	JNZ  topkone
+
+topknext:
+	CMPQ BX, DI
+	JB   topkchunk
+	MOVQ idx+32(FP), R9
+	VPMOVSXDQ    X1, Y9
+	VMOVDQU      Y9, (R9)
+	VEXTRACTI128 $1, Y1, X10
+	VPMOVSXDQ    X10, Y10
+	VMOVDQU      Y10, 32(R9)
+	MOVB $1, ok+40(FP)
+	VZEROUPPER
+	RET
+
+topkfail:
+	MOVB $0, ok+40(FP)
 	VZEROUPPER
 	RET

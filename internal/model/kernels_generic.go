@@ -2,9 +2,9 @@
 
 package model
 
-// Without the AVX2 kernels every table operation, Sub and Softmax run the
-// Go reference. Race builds land here too: the race detector cannot see
-// memory that assembly touches.
+// Without the AVX2 kernels every table operation, Sub, Softmax and TopK
+// run the Go reference. Race builds land here too: the race detector
+// cannot see memory that assembly touches.
 
 func accumulate(t *Table, features []int, dst []float32) { t.accumulateGo(features, dst) }
 
@@ -13,3 +13,5 @@ func addGrad(t *Table, features []int, grad []float32, lr float32) { t.addGradGo
 func sub(dst, a, b []float32) { subGo(dst, a, b) }
 
 func softmax(logits []float32, temp float64, probs []float32) { softmaxGo(logits, temp, probs) }
+
+func topK(probs []float32, k int, dst []int) []int { return topKGo(probs, k, dst) }

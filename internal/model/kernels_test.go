@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -16,6 +17,7 @@ type kernelCase struct {
 	vec   []float32 // Vocab long: AddGrad's gradient, Softmax's logits
 	lr    float32
 	temp  float64
+	k     int // TopK's k, -2 to 10
 }
 
 // edgeFloats are the inputs where a kernel is most likely to part from
@@ -39,7 +41,9 @@ var edgeTemps = []float64{0, -1, 5e-324, 1e-40, 1e-30, 1e-4, 0.01, 0.5, 0.9, 1, 
 // decodeKernelCase reads the shape and the value mix from the first bytes
 // of data and draws the values from a generator seeded by the next eight:
 // a vocabulary of 1-300, 1-16 rows, 0-80 features, weights that are edge
-// values at a rate of edge/255 and Gaussian otherwise.
+// values at a rate of edge/255 and Gaussian otherwise. Byte 6 picks the
+// temperature, the low bit of byte 7 replaces it by a random one, and the
+// rest of byte 7 picks k.
 func decodeKernelCase(data []byte) kernelCase {
 	var in [16]byte
 	copy(in[:], data)
@@ -70,6 +74,7 @@ func decodeKernelCase(data []byte) kernelCase {
 	if in[7]&1 == 1 {
 		c.temp = rng.Float64() * 3
 	}
+	c.k = int(in[7]>>1)%13 - 2
 	return c
 }
 
@@ -186,6 +191,71 @@ func FuzzSoftmax(f *testing.F) {
 		checkSameBits(t, "Softmax", got, want)
 		checkGuard(t, "Softmax", got)
 	})
+}
+
+// FuzzTopK checks the dispatched TopKInto and TopK against topKGo, index
+// for index, on the case's vector and on its Softmax, a draft-like row.
+// Both rows are followed within their capacity by +Inf lanes, which would
+// enter the top k if the kernel read past the end.
+func FuzzTopK(f *testing.F) {
+	addKernelSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := decodeKernelCase(data)
+		probs := withInfGuard(make([]float32, len(c.vec)))
+		Softmax(c.vec, c.temp, probs)
+		checkTopK(t, "logits", withInfGuard(c.vec), c.k)
+		checkTopK(t, "probs", probs, c.k)
+	})
+}
+
+// withInfGuard returns a copy of x followed, in the same array, by eight
+// +Inf lanes.
+func withInfGuard(x []float32) []float32 {
+	s := make([]float32, len(x), len(x)+8)
+	copy(s, x)
+	for i := len(x); i < cap(s); i++ {
+		s[:cap(s)][i] = float32(math.Inf(1))
+	}
+	return s
+}
+
+// checkTopK checks TopKInto and TopK against topKGo on x.
+func checkTopK(t *testing.T, what string, x []float32, k int) {
+	t.Helper()
+	want := topKGo(x, k, nil)
+	for name, got := range map[string][]int{
+		"TopKInto": TopKInto(x, k, make([]int, 3, 16)),
+		"TopK":     TopK(x, k),
+	} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s(%s of %d lanes, k %d) = %v, topKGo %v", name, what, len(x), k, got, want)
+		}
+	}
+}
+
+// TestTopKEdges checks TopKInto and TopK against topKGo on softmaxEdges,
+// whose NaNs sit at lane 0, in the tail and in the last whole group, at
+// every k from -2 to 10, and on rows whose k-th value is tied, where the
+// strict compares decide which index stays in.
+func TestTopKEdges(t *testing.T) {
+	row := func(n int, lane func(i int) float32) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = lane(i)
+		}
+		return x
+	}
+	negZero := float32(math.Copysign(0, -1))
+	edges := append(softmaxEdges(),
+		softmaxEdge{"ties at the k-th value of 82", row(82, func(i int) float32 { return float32(i%5) / 4 })},
+		softmaxEdge{"-0 and +0 alternating over 19", row(19, func(i int) float32 { return [2]float32{0, negZero}[i%2] })},
+		softmaxEdge{"ascending 82", row(82, func(i int) float32 { return float32(i) })},
+	)
+	for _, e := range edges {
+		for k := -2; k <= 10; k++ {
+			checkTopK(t, e.name, withInfGuard(e.logits), k)
+		}
+	}
 }
 
 // softmaxEdge is one hand-built logits vector for TestSoftmaxEdges.
@@ -307,11 +377,13 @@ func TestKernelsRejectBadArguments(t *testing.T) {
 func TestKernelsZeroAllocs(t *testing.T) {
 	tb, feats, vec := drafterShape()
 	dst := make([]float32, tb.Vocab)
+	top := make([]int, 0, 6)
 	for name, call := range map[string]func(){
 		"Accumulate": func() { tb.Accumulate(feats, dst) },
 		"AddGrad":    func() { tb.AddGrad(feats, vec, 1e-3) },
 		"Softmax":    func() { Softmax(vec, 0.9, dst) },
 		"Sub":        func() { Sub(dst, vec, vec) },
+		"TopKInto":   func() { top = TopKInto(vec, 6, top) },
 	} {
 		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
 			t.Errorf("%s allocates %.1f objects/call, want 0", name, allocs)

@@ -93,6 +93,11 @@ func TestTopK(t *testing.T) {
 	if got := TopK(probs, 100); len(got) != 4 {
 		t.Fatalf("TopK clamp failed: %v", got)
 	}
+	for _, k := range []int{0, -1} {
+		if got := TopK(probs, k); len(got) != 0 {
+			t.Fatalf("TopK(k=%d) = %v, want empty", k, got)
+		}
+	}
 }
 
 func TestTableAccumulateAndGrad(t *testing.T) {

@@ -9,16 +9,18 @@
 // policy-gradient updates, and an internal "hidden state" that Eagle-style
 // drafters can condition on.
 //
-// Four loops dominate the host cost of training and drafting:
-// Table.Accumulate, Table.AddGrad, Softmax and Sub, the drafter's KD
-// gradient. On amd64 CPUs with AVX2 they run hand-written kernels
-// (kernels_amd64.s), chosen once at start-up from CPUID, that reproduce
-// the Go loops in table.go bit for bit. The table kernels and Sub cover
+// Five loops dominate the host cost of training and drafting:
+// Table.Accumulate, Table.AddGrad, Softmax, Sub (the drafter's KD
+// gradient) and TopK, which picks every drafted node's children. On amd64
+// CPUs with AVX2 they run hand-written kernels (kernels_amd64.s), chosen
+// once at start-up from CPUID, that reproduce the Go loops in table.go bit
+// for bit, or for TopK index for index. The table kernels and Sub cover
 // every lane, the vocab mod 8 tail through masked loads and stores;
 // Softmax's max scan and exponentials run in AVX2, and its greedy branch,
-// its sum and the inputs its kernels refuse stay in Go. The Go loops stay
-// as the reference and run everywhere else: on other architectures, on
-// CPUs without AVX2, and in builds tagged purego or built with -race,
+// its sum and the inputs its kernels refuse stay in Go; TopK's kernel
+// takes k up to 8 over at least eight lanes without a NaN. The Go loops
+// stay as the reference and run everywhere else: on other architectures,
+// on CPUs without AVX2, and in builds tagged purego or built with -race,
 // since the race detector cannot see memory that assembly touches.
 package model
 
@@ -342,21 +344,27 @@ func SampleProbs(probs []float32, rng *rand.Rand) int {
 }
 
 // TopK returns the indices of the k largest entries, descending (ties
-// broken by ascending index). k is clamped to len(probs).
+// broken by ascending index). k is clamped to [0, len(probs)].
 func TopK(probs []float32, k int) []int {
-	if k > len(probs) {
-		k = len(probs)
-	}
+	k = min(max(k, 0), len(probs))
 	return TopKInto(probs, k, make([]int, 0, k))
 }
 
 // TopKInto is TopK writing into dst (reset to dst[:0]), allocation-free
-// once dst has capacity k. It keeps TopK's exact ordering — values
-// descending, ties by ascending index — via a single scan with an
-// insertion buffer: most entries fail the cheap "beats the current k-th"
-// test, so the common cost is one compare per vocabulary entry instead of
-// the k full passes the old implementation made.
+// once dst has capacity k. It returns an empty list for k <= 0.
+//
+// On AVX2 CPUs, for k up to 8 over at least eight lanes, a kernel finds a
+// threshold at least k entries reach and inserts only those entries into
+// a sorted buffer held in vector registers. Its indices are those of
+// topKGo, the reference, for every input: a NaN sends the call to topKGo.
 func TopKInto(probs []float32, k int, dst []int) []int {
+	return topK(probs, k, dst)
+}
+
+// topKGo is the reference TopKInto: a single scan with an insertion
+// buffer. Most entries fail the cheap "beats the current k-th" test, so
+// the common cost is one compare per vocabulary entry.
+func topKGo(probs []float32, k int, dst []int) []int {
 	if k > len(probs) {
 		k = len(probs)
 	}

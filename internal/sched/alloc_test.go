@@ -4,29 +4,30 @@ import (
 	"math/rand"
 	"testing"
 
+	"fastrl/internal/draft"
 	"fastrl/internal/gpu"
 	"fastrl/internal/workload"
 )
 
 // steadyBatch builds a batch with n requests that cannot finish within
 // the measured window, stepped once so every scratch buffer has grown to
-// its high-water mark — the serving replica's steady state.
+// its high-water mark — the serving replica's steady state. With sd it
+// speculates under fixedStrategyConfig, and otherwise it decodes without
+// speculation.
 func steadyBatch(t testing.TB, env *testEnv, n int, sd bool) (*Batch, []*Request, *rand.Rand) {
 	t.Helper()
-	var cfg Config
 	if sd {
-		cfg = fixedStrategyConfig(gpu.NewDevice(gpu.H100, 1))
-	} else {
-		cfg = DefaultConfig(gpu.NewDevice(gpu.H100, 1))
-		cfg.SDThreshold = -1
+		return steadyBatchWith(t, env, n, fixedStrategyConfig(gpu.NewDevice(gpu.H100, 1)), env.eagle)
 	}
-	var b *Batch
-	var err error
-	if sd {
-		b, err = New(cfg, env.target, env.eagle)
-	} else {
-		b, err = New(cfg, env.target, nil)
-	}
+	cfg := DefaultConfig(gpu.NewDevice(gpu.H100, 1))
+	cfg.SDThreshold = -1
+	return steadyBatchWith(t, env, n, cfg, nil)
+}
+
+// steadyBatchWith is steadyBatch under the given config and drafter.
+func steadyBatchWith(t testing.TB, env *testEnv, n int, cfg Config, d draft.Drafter) (*Batch, []*Request, *rand.Rand) {
+	t.Helper()
+	b, err := New(cfg, env.target, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +67,21 @@ func TestBatchStepZeroSteadyStateAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("batch=%d: steady-state Step allocates %.1f objects/iter, want 0", n, allocs)
+		}
+	}
+	// DefaultConfig's strategy groups hold two arms each, so every step's
+	// BEG-MAB selection reads both arms' median rewards: 2 sequences fall
+	// in the TokensToVerify 24 group and 8 in the 16 group.
+	for _, n := range []int{2, 8} {
+		b, _, rng := steadyBatchWith(t, env, n, DefaultConfig(gpu.NewDevice(gpu.H100, 1)), env.eagle)
+		for i := 0; i < 50; i++ {
+			b.Step(rng)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			b.Step(rng)
+		})
+		if allocs != 0 {
+			t.Errorf("DefaultConfig, batch=%d: steady-state Step allocates %.1f objects/iter, want 0", n, allocs)
 		}
 	}
 }

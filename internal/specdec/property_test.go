@@ -1,7 +1,9 @@
 package specdec
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fastrl/internal/draft"
@@ -112,6 +114,139 @@ func selectNodes(nodes []node, k int) []int {
 	sc := &scratch{}
 	t := &tree{nodes: nodes}
 	return append([]int(nil), sc.selectKeptInto(t, k)...)
+}
+
+// randomTree draws a tree of n nodes in drafting order, each parent
+// before its children. Path probabilities are the parent's times q drawn
+// from a few values, so equal ones are common. With outrank set, some
+// children get q just above 1 and outrank their parent, and with nan some
+// nodes get a NaN path probability.
+func randomTree(rng *rand.Rand, n int, outrank, nan bool) []node {
+	qs := []float64{1, 0.5, 0.5, 0.25, 0.75, 0.125}
+	nodes := make([]node, n)
+	for i := range nodes {
+		parent := -1
+		if i > 0 && rng.Float64() < 0.85 {
+			parent = rng.Intn(i)
+		}
+		pp := 1.0
+		if parent >= 0 {
+			pp = nodes[parent].pathProb
+		}
+		q := qs[rng.Intn(len(qs))]
+		if outrank && rng.Intn(8) == 0 {
+			q = 1 + 1e-9
+		}
+		nodes[i] = node{tok: rng.Intn(50), parent: parent, pathProb: pp * q}
+		if nan && rng.Intn(20) == 0 {
+			nodes[i].pathProb = math.NaN()
+		}
+	}
+	return nodes
+}
+
+// TestSelectTopMatchesWalk: the one-pass selection selectKeptInto takes
+// when no node outranks its parent keeps exactly the nodes, in exactly the
+// order, of the sort-and-chain walk it replaced, on random trees with
+// equal path probabilities, with n both below and above k, and with k
+// from -2 up. Trees in which a child outranks its parent, or with a NaN,
+// must take the walk itself, and the test checks both paths run.
+func TestSelectTopMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var fast, fallback int
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(70)
+		nodes := randomTree(rng, n, trial%3 == 1, trial%3 == 2)
+		k := rng.Intn(n+8) - 2
+		got := selectNodes(nodes, k)
+		want := append([]int(nil), (&scratch{}).selectByWalk(&tree{nodes: nodes}, k)...)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n %d, k %d): selection %v, walk %v", trial, n, k, got, want)
+		}
+		if k > 0 && n > 0 {
+			if (&scratch{}).selectTop(&tree{nodes: nodes}, k) {
+				fast++
+			} else {
+				fallback++
+			}
+		}
+	}
+	if fast == 0 || fallback == 0 {
+		t.Fatalf("one-pass selection ran %d times and the walk %d: both paths must run", fast, fallback)
+	}
+	t.Logf("one-pass selection %d trees, walk %d", fast, fallback)
+}
+
+// TestTopByPathProbMatchesPasses: the beam trim's bounded buffer puts the
+// same k nodes, in the same order, at the front of a frontier as k
+// selection passes do, on random frontiers in random order with equal
+// path probabilities and NaNs, for k from 1 to 12.
+func TestTopByPathProbMatchesPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 3000; trial++ {
+		nodes := randomTree(rng, 1+rng.Intn(60), false, trial%4 == 3)
+		idx := rng.Perm(len(nodes))[:1+rng.Intn(len(nodes))]
+		k := 1 + rng.Intn(12)
+		got := append([]int(nil), idx...)
+		want := append([]int(nil), idx...)
+		topByPathProb(got, k, nodes)
+		topByPathProbPasses(want, k, nodes)
+		m := min(k, len(idx))
+		if !slices.Equal(got[:m], want[:m]) {
+			t.Fatalf("trial %d (k %d of %d): beam trim %v, passes %v", trial, k, len(idx), got[:m], want[:m])
+		}
+	}
+}
+
+// TestDraftBiasMatchesPerNode: factors computed once per round reweight a
+// draft proposal to the same bits as the per-node loop over the bias map
+// they replaced, on random maps with ids outside the vocabulary and maps
+// whose ids all are.
+func TestDraftBiasMatchesPerNode(t *testing.T) {
+	perNode := func(q []float32, bias map[int]float32, temp float64) {
+		if len(bias) == 0 {
+			return
+		}
+		for id, b := range bias {
+			if id >= 0 && id < len(q) {
+				q[id] *= float32(mathExp(float64(b) / temp))
+			}
+		}
+		var sum float64
+		for _, v := range q {
+			sum += float64(v)
+		}
+		if sum <= 0 {
+			return
+		}
+		inv := float32(1 / sum)
+		for i := range q {
+			q[i] *= inv
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	var sc scratch
+	for trial := 0; trial < 2000; trial++ {
+		q := make([]float32, 1+rng.Intn(90))
+		for i := range q {
+			q[i] = float32(rng.ExpFloat64())
+		}
+		bias := map[int]float32{}
+		for n := rng.Intn(6); n > 0; n-- {
+			bias[rng.Intn(len(q)+4)-2] = float32(rng.NormFloat64() * 40)
+		}
+		temp := []float64{1, 0.9, 0.3}[rng.Intn(3)]
+		got, want := append([]float32(nil), q...), append([]float32(nil), q...)
+		if sc.draftBiasFactors(bias, temp, len(q)) {
+			applyDraftBias(got, sc.biasF)
+		}
+		perNode(want, bias, temp)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("trial %d lane %d (bias %v): %g, per-node %g", trial, i, bias, got[i], want[i])
+			}
+		}
+	}
 }
 
 // TestVerifyNodeMarginalProperty: for a random distribution p and random

@@ -182,10 +182,16 @@ type scratch struct {
 	frontier, next []int
 	topk           []int
 
-	// Candidate selection.
-	order  []int
-	member []bool
-	chain  []int
+	// The draft-side bias of the round being drafted: each in-vocabulary
+	// biased token and its factor exp(bias/temp).
+	biasF []draftFactor
+
+	// Candidate selection: the path probabilities of t.keep's nodes, then
+	// the sort-and-chain walk's buffers.
+	keepVals []float64
+	order    []int
+	member   []bool
+	chain    []int
 
 	sorted []int // verifyNode candidate ordering
 
@@ -323,6 +329,8 @@ func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, tokens []int, promptLen
 	}
 	t.seqBuf = append(t.seqBuf[:0], tokens...)
 
+	biased := sc.draftBiasFactors(bias, e.draftTemp(), vocab)
+
 	t.nodes = t.nodes[:0]
 	t.frontierPerDepth = t.frontierPerDepth[:0]
 	sc.frontier = append(sc.frontier[:0], -1) // -1 denotes the root context
@@ -340,7 +348,9 @@ func (e *Engine) draftTreeInto(t *tree, d draft.Drafter, tokens []int, promptLen
 				h = deep
 			}
 			d.Probs(ctx, promptLen, h, e.draftTemp(), sc.qBuf, sc.msc)
-			e.applyBiasToDraft(sc.qBuf, bias)
+			if biased {
+				applyDraftBias(sc.qBuf, sc.biasF)
+			}
 			res.DraftedNodes++
 			parentProb := 1.0
 			if pi >= 0 {
@@ -458,23 +468,40 @@ func (e *Engine) verifyTree(t *tree, seq Seq, rng *rand.Rand, res *Result) {
 	res.Tokens = t.accepted
 }
 
-// applyBiasToDraft reweights a draft proposal by the sequence's logit
-// bias, mirroring how serving engines apply sampling parameters to the
-// draft model as well as the target. Since the drafter emits
-// probabilities, the bias is folded in multiplicatively:
-// q'(v) ∝ q(v)·exp(bias_v/temp). Verification does not depend on q, so
-// exactness is unaffected — this only improves candidate selection.
-func (e *Engine) applyBiasToDraft(q []float32, bias map[int]float32) {
-	if len(bias) == 0 {
-		return
-	}
-	temp := e.draftTemp()
-	var sum float64
+// draftFactor is one biased token of a draft proposal and the factor
+// exp(bias/temp) its probability is multiplied by.
+type draftFactor struct {
+	id int
+	f  float32
+}
+
+// draftBiasFactors computes the round's draft-side bias factors into the
+// scratch, once for every node the round drafts, and reports whether the
+// round's proposals are reweighted: a non-empty bias renormalises them
+// even when none of its ids is in the vocabulary. The ids are distinct,
+// so the order the map yields them in cannot change any product.
+func (sc *scratch) draftBiasFactors(bias map[int]float32, temp float64, vocab int) bool {
+	sc.biasF = sc.biasF[:0]
 	for id, b := range bias {
-		if id >= 0 && id < len(q) {
-			q[id] *= float32(mathExp(float64(b) / temp))
+		if id >= 0 && id < vocab {
+			sc.biasF = append(sc.biasF, draftFactor{id, float32(mathExp(float64(b) / temp))})
 		}
 	}
+	return len(bias) > 0
+}
+
+// applyDraftBias reweights a draft proposal by the sequence's logit bias,
+// mirroring how serving engines apply sampling parameters to the draft
+// model as well as the target. Since the drafter emits probabilities, the
+// bias is folded in multiplicatively, q'(v) ∝ q(v)·exp(bias_v/temp), with
+// the factors draftBiasFactors computed, and q is renormalised by its
+// float64 sum in index order. Verification does not depend on q, so
+// exactness is unaffected — this only improves candidate selection.
+func applyDraftBias(q []float32, factors []draftFactor) {
+	for _, bf := range factors {
+		q[bf.id] *= bf.f
+	}
+	var sum float64
 	for _, v := range q {
 		sum += float64(v)
 	}
@@ -534,11 +561,54 @@ func sortByPathProb(idx []int, nodes []node) {
 	}
 }
 
-// topByPathProb partially sorts idx so its first k entries are the k
-// highest-path-probability nodes in the same total order sortByPathProb
-// uses (descending probability, ascending-index ties). The beam trim only
-// keeps k of the frontier, so a k-pass selection beats a full sort.
+// topByPathProb moves the k highest-path-probability nodes of idx to
+// idx[:k], in the total order sortByPathProb uses (descending probability,
+// ascending-index ties); the order of the rest of idx is unspecified. The
+// beam trim keeps only those k, so no full sort is needed: up to eight it
+// keeps them in a bounded insertion buffer, and for a larger k or a NaN
+// path probability it makes k selection passes.
 func topByPathProb(idx []int, k int, nodes []node) {
+	if k > 8 || !topByPathProbBuf(idx, k, nodes) {
+		topByPathProbPasses(idx, k, nodes)
+	}
+}
+
+// topByPathProbBuf is topByPathProb for k up to 8 by one scan with an
+// insertion buffer, the path probabilities held beside the indices. It
+// leaves idx untouched and reports false on a NaN, where the order is not
+// total.
+func topByPathProbBuf(idx []int, k int, nodes []node) bool {
+	if k <= 0 {
+		return true
+	}
+	var top [8]int
+	var vals [8]float64
+	n := 0
+	for _, ni := range idx {
+		pp := nodes[ni].pathProb
+		if pp != pp {
+			return false
+		}
+		if n == k {
+			if pp < vals[k-1] || pp == vals[k-1] && ni > top[k-1] {
+				continue
+			}
+			n--
+		}
+		j := n
+		for ; j > 0 && (vals[j-1] < pp || vals[j-1] == pp && top[j-1] > ni); j-- {
+			top[j], vals[j] = top[j-1], vals[j-1]
+		}
+		top[j], vals[j] = ni, pp
+		n++
+	}
+	copy(idx, top[:n])
+	return true
+}
+
+// topByPathProbPasses is topByPathProb by k passes, each swapping the best
+// of the rest of idx into place.
+func topByPathProbPasses(idx []int, k int, nodes []node) {
 	for i := 0; i < k && i < len(idx); i++ {
 		best := i
 		for j := i + 1; j < len(idx); j++ {
@@ -574,12 +644,61 @@ func sortByQProb(idx []int, nodes []node) {
 // selectKeptInto fills t.keep with the indices of up to k of the tree's
 // nodes with the highest path probability, closed under ancestry, using
 // the scratch's shared selection buffers.
+//
+// A drafted node's path probability is its parent's times q ≤ 1, and the
+// parent has the smaller index, so in sortByPathProb's order every parent
+// comes before its children. The first k nodes in that order are then
+// ancestry-closed, and they are exactly what the sort-and-chain walk keeps,
+// one node per step: selectTop finds them in one pass without a sort. The
+// walk stays for a tree in which a node outranks its parent, which the
+// bias renormalisation could make by rounding q above 1, or which holds a
+// NaN.
 func (sc *scratch) selectKeptInto(t *tree, k int) []int {
-	nodes := t.nodes
 	t.keep = t.keep[:0]
-	if len(nodes) == 0 {
+	if k <= 0 || len(t.nodes) == 0 || sc.selectTop(t, k) {
 		return t.keep
 	}
+	return sc.selectByWalk(t, k)
+}
+
+// selectTop writes the first k nodes in sortByPathProb's order to t.keep,
+// in that order, by one scan in index order with a bounded insertion
+// buffer, and reports true. It reports false, with t.keep unspecified,
+// when a path probability is NaN or above its parent's.
+func (sc *scratch) selectTop(t *tree, k int) bool {
+	nodes := t.nodes
+	keep, vals := t.keep[:0], sc.keepVals[:0]
+	ok := true
+	for i := range nodes {
+		pp := nodes[i].pathProb
+		if par := nodes[i].parent; par >= 0 && !(pp <= nodes[par].pathProb) || pp != pp {
+			ok = false
+			break
+		}
+		if len(keep) == k {
+			// A later index loses a tie, so an equal value stays out.
+			if pp <= vals[k-1] {
+				continue
+			}
+			keep, vals = keep[:k-1], vals[:k-1]
+		}
+		j := len(keep)
+		keep, vals = append(keep, i), append(vals, pp)
+		for ; j > 0 && vals[j-1] < pp; j-- {
+			keep[j], vals[j] = keep[j-1], vals[j-1]
+		}
+		keep[j], vals[j] = i, pp
+	}
+	t.keep, sc.keepVals = keep, vals
+	return ok
+}
+
+// selectByWalk is the general selection: it sorts every node by
+// sortByPathProb and walks that order, adding each node together with
+// its ancestors not yet kept while they fit in k.
+func (sc *scratch) selectByWalk(t *tree, k int) []int {
+	nodes := t.nodes
+	t.keep = t.keep[:0]
 	sc.order = ensureInt(sc.order, len(nodes))
 	for i := range sc.order {
 		sc.order[i] = i
